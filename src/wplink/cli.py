@@ -633,11 +633,11 @@ def cmd_validate(args) -> int:
         )
     )
 
+    # The same product recurrence fed by the positive-argument 2F1 form: at
+    # u = 1000 it shares no special-function code with laplace_derivs.
     d_ref = multi_pb.laplace_derivs(1.0, 8, net_dense)
-    d_bell = multi_pb.laplace_derivs_bell(1.0, 8, net_dense)
-    rel = max(
-        abs(x - y) / max(abs(y), 1e-300) for x, y in zip(d_bell.values, d_ref.values)
-    )
+    d_hyp = multi_pb._ladder(d_ref.values[0], multi_pb._g_derivs_hyp(1.0, 8, net_dense))
+    rel = max(abs(x - y) / max(abs(y), 1e-300) for x, y in zip(d_hyp, d_ref.values))
     checks.append(("deriv_paths_agree", rel <= 1e-8, f"max rel diff {rel:.3e} (tol 1e-8)"))
 
     h = 1e-6

@@ -7,9 +7,7 @@ driven by g and its derivatives:
 
 * :func:`laplace_z` / :func:`mean_harvested` -- the transform and its mean.
 * :func:`laplace_derivs` -- derivative ladder via the product recurrence
-  for derivatives of exp(g) (reference path).
-* :func:`laplace_derivs_bell` -- the same ladder through complete Bell
-  polynomials (audit path; cross-validated against the reference).
+  for derivatives of exp(g).
 * :func:`energy_supply_prob_mp` -- probability that m slots of harvesting
   cover an n-slot codeword, via a rescaled nonnegative series that stays
   stable to thousands of terms.
@@ -26,19 +24,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, betaln
+from scipy.special import betainc, betaincc, betaln
 
 from . import single_pb
-from .specfun import (
-    DEFAULT_TOL,
-    ConvergenceError,
-    DomainError,
-    RealTol,
-    complete_bell,
-    gauss_2f1,
-    gauss_2f1_deriv,
-    pochhammer,
-)
+from .specfun import DomainError, gauss_2f1
 
 __all__ = [
     "NetworkParams",
@@ -46,16 +35,14 @@ __all__ = [
     "StabilityError",
     "laplace_z",
     "mean_harvested",
-    "f_deriv",
     "laplace_derivs",
-    "laplace_derivs_bell",
     "energy_supply_prob_mp",
     "achievable_rate_mp",
 ]
 
-# Above this argument the hypergeometric series route needs too many terms;
-# switch to the large-argument expansion of the radial functional.
-_U_SWITCH = 500.0
+# Above this argument the radial functional is taken from its large-u
+# expansion rather than the incomplete beta (see _radial).
+_TAIL_U = 1e6
 
 # Hard cap on raw derivative order: beyond this the factorially scaled
 # ladder loses double-precision headroom.
@@ -112,8 +99,12 @@ class LaplaceDerivs:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.s):
+            raise DomainError(f"s must be finite, got {self.s!r}")
         if not self.values:
             raise DomainError("values must hold at least the 0th derivative")
+        if not all(math.isfinite(v) for v in self.values):
+            raise DomainError("derivative values must be finite")
         if not (0.0 < self.values[0] <= 1.0 + _SIGN_SLACK):
             raise DomainError(f"values[0] must lie in (0, 1], got {self.values[0]!r}")
         scale = max(abs(v) for v in self.values)
@@ -127,81 +118,46 @@ class LaplaceDerivs:
 
 
 # =============================================================================
-# The radial interference functional and its derivatives
+# The radial functional and the Laplace transform of the harvested energy
 # =============================================================================
 
 
-def _f_large_arg(k: int, u: float, eta: float, tol: RealTol) -> float:
-    """k-th derivative of the radial functional for large arguments.
+def _radial(u: float, eta: float) -> float:
+    """Radial functional F(u) = (2u/(eta-2)) 2F1(1, 1-alpha; 2-alpha; -u).
 
-    Uses the expansion F(u) = (2/eta) [pi/sin(pi*alpha) u^alpha
-    - sum_{j>=0} (-1)^j u^(-j)/(alpha+j)], differentiated term by term.
-    The tail is alternating with decaying terms for u > 1, so truncation
-    error is bounded by the first omitted term.
+    With alpha = 2/eta and w = u/(1+u), DLMF 8.17 with Pfaff's
+    transformation (15.8) gives the incomplete-beta closed form
+    F(u) = alpha u^alpha (pi/sin(pi alpha)) I_w(1-alpha, alpha), taken
+    through the complement I_{1-w}(alpha, 1-alpha) above u = 1. That
+    complement loses digits far out (6e-11 relative at alpha = 1/2,
+    u = 1e20), so past ``_TAIL_U`` the large-u expansion
+    alpha [pi/sin(pi alpha) u^alpha - sum_j (-1)^j u^(-j)/(alpha+j)] takes
+    over; its first omitted term (j = 4) is below 1e-24 there.
     """
     alpha = 2.0 / eta
-    lead_coef = math.pi / math.sin(math.pi * alpha)
-    falling = 1.0
-    for i in range(k):
-        falling *= alpha - i
-    lead = lead_coef * falling * u ** (alpha - k)
-
-    acc = 0.0
-    if k == 0:
-        acc += 1.0 / alpha  # j = 0 term; constants vanish under derivatives
-    sign_k = -1.0 if k % 2 else 1.0
-    for j in range(1, tol.max_iter):
-        term = sign_k * pochhammer(float(j), k) * u ** (-j - k) / (alpha + j)
-        if j % 2:
-            term = -term
-        acc += term
-        if abs(term) <= tol.rel_tol * (abs(acc) + abs(lead)):
-            return (2.0 / eta) * (lead - acc)
-    raise ConvergenceError(f"large-argument expansion stalled at u={u!r}")
+    lead = math.pi / math.sin(math.pi * alpha)
+    if u > _TAIL_U:
+        tail = sum((-1.0) ** j * u ** (-j) / (alpha + j) for j in range(4))
+        return alpha * (lead * u**alpha - tail)
+    if u <= 1.0:
+        beta = betainc(1.0 - alpha, alpha, u / (1.0 + u))
+    else:
+        beta = betaincc(alpha, 1.0 - alpha, 1.0 / (1.0 + u))
+    return alpha * lead * u**alpha * float(beta)
 
 
-def f_deriv(k: int, x1: float, eta: float, tol: RealTol | None = None) -> float:
-    """k-th derivative of the radial energy-capture functional F(x1, eta).
-
-    F(x1, eta) = (2 x1/(eta-2)) * 2F1(1, 1-2/eta; 2-2/eta; -x1) integrates
-    the captured power over beacon distances; its derivatives feed the
-    Laplace-transform ladder. k = 0 returns F itself.
-    """
-    tol = tol or DEFAULT_TOL
-    if k < 0:
-        raise DomainError(f"derivative order k must be >= 0, got {k!r}")
-    if not (x1 >= 0.0):
-        raise DomainError(f"x1 must be >= 0, got {x1!r}")
-    if not (eta > 2.0):
-        raise DomainError(f"eta must be > 2, got {eta!r}")
-    if x1 > _U_SWITCH:
-        return _f_large_arg(k, x1, eta, tol)
-    if k == 0:
-        return (2.0 * x1 / (eta - 2.0)) * gauss_2f1(
-            1.0, 1.0 - 2.0 / eta, 2.0 - 2.0 / eta, -x1, tol
-        )
-    return (2.0 * k / (eta - 2.0)) * gauss_2f1_deriv(k - 1, x1, eta, tol) + (
-        2.0 * x1 / (eta - 2.0)
-    ) * gauss_2f1_deriv(k, x1, eta, tol)
-
-
-# =============================================================================
-# Laplace transform of the harvested energy
-# =============================================================================
-
-
-def _log_laplace(u: float, net: NetworkParams, tol: RealTol | None) -> float:
+def _log_laplace(u: float, net: NetworkParams) -> float:
     """g(u) = ln L_Z expressed in the scaled argument u = p_pb*mu*s."""
-    return -math.pi * net.density * (u / (1.0 + u) + f_deriv(0, u, net.eta, tol))
+    return -math.pi * net.density * (u / (1.0 + u) + _radial(u, net.eta))
 
 
-def laplace_z(s: float, net: NetworkParams, tol: RealTol | None = None) -> float:
+def laplace_z(s: float, net: NetworkParams) -> float:
     """Laplace transform E[exp(-s Z)] of the per-slot harvested energy."""
     if not (s >= 0.0):
         raise DomainError(f"s must be >= 0, got {s!r}")
     if s == 0.0:
         return 1.0
-    return math.exp(_log_laplace(net.p_pb * net.mu * s, net, tol))
+    return math.exp(_log_laplace(net.p_pb * net.mu * s, net))
 
 
 def mean_harvested(net: NetworkParams) -> float:
@@ -209,111 +165,77 @@ def mean_harvested(net: NetworkParams) -> float:
     return math.pi * net.density * (net.eta / (net.eta - 2.0)) * net.mu * net.p_pb
 
 
-def _check_deriv_args(s: float, order: int) -> None:
-    if not (s > 0.0):
-        raise DomainError(f"s must be > 0, got {s!r}")
-    if int(order) != order or order < 0:
-        raise DomainError(f"derivative order must be a non-negative integer, got {order!r}")
-    if order > _DERIV_CAP:
-        raise DomainError(f"derivative order {order} exceeds the stability cap {_DERIV_CAP}")
+def _g_derivs(s: float, order: int, net: NetworkParams) -> list[float]:
+    """[g'(s), ..., g^(order)(s)] for g = ln L_Z, from the series coefficients.
+
+    g^(r)(s) = (-1)^r (r-1)! c_r / s^r with the c_r of the outage series.
+    Where w = u/(1+u) <= 1/2 the c_r (about w^r) underflow before the
+    division by s^r, so there the positive-argument 2F1 form takes over.
+    """
+    u = net.p_pb * net.mu * s
+    if u <= 1.0:
+        return _g_derivs_hyp(s, order, net)
+    r = np.arange(1, order + 1, dtype=float)
+    with np.errstate(over="ignore", divide="ignore"):
+        scaled = _series_coefficients(order, u, net) / np.power(s, r)
+    return [(-1.0) ** k * math.factorial(k - 1) * x for k, x in enumerate(scaled.tolist(), 1)]
 
 
-def _g_derivs_s(
-    s: float, order: int, net: NetworkParams, tol: RealTol | None
-) -> list[float]:
-    """[g(s), g'(s), ..., g^(order)(s)] via the scaled-argument chain rule."""
+def _g_derivs_hyp(s: float, order: int, net: NetworkParams) -> list[float]:
+    """[g'(s), ..., g^(order)(s)] from the positive-argument 2F1 form.
+
+    F^(r)(u) = (-1)^(r+1) r! alpha/(r-alpha) (1+u)^(-r-1)
+    2F1(r+1, 1; r+1-alpha; w), so with the near-field term
+    g^(r)(s) = (-1)^r pi density r! b^r (1+u)^(-r-1)
+    [1 + alpha/(r-alpha) 2F1(r+1, 1; r+1-alpha; w)], b = p_pb*mu.
+    The series terms are positive and shrink like w^j: cheap for small w,
+    about 1/(1-w) terms as w -> 1. It shares no special-function code with
+    :func:`_g_derivs` above u = 1, which makes it the audit route there.
+    """
+    alpha = 2.0 / net.eta
     b = net.p_pb * net.mu
     u = b * s
-    out = [_log_laplace(u, net, tol)]
-    b_pow = 1.0
-    for k in range(1, order + 1):
-        b_pow *= b
-        rational = -(-1.0) ** k * math.factorial(k) / (1.0 + u) ** (k + 1)
-        g_u = -math.pi * net.density * (rational + f_deriv(k, u, net.eta, tol))
-        out.append(b_pow * g_u)
+    w = u / (1.0 + u)
+    out = []
+    scale = math.pi * net.density / (1.0 + u)
+    for r in range(1, order + 1):
+        scale *= -r * b / (1.0 + u)  # (-1)^r pi density r! b^r (1+u)^(-r-1)
+        hyp = gauss_2f1(r + 1.0, 1.0, r + 1.0 - alpha, w)
+        out.append(scale * (1.0 + alpha / (r - alpha) * hyp))
     return out
 
 
-def _check_alternation(values: list[float]) -> None:
-    scale = max(abs(v) for v in values)
-    for k, v in enumerate(values):
-        if (-1.0) ** k * v < -_SIGN_SLACK * scale:
-            raise StabilityError(
-                f"derivative ladder lost sign alternation at order {k}"
-            )
+def _ladder(l0: float, g: list[float]) -> list[float]:
+    """[L, L', ..., L^(len(g))] for L = exp(g), from L = l0 and g = [g', g'', ...].
+
+    L^(i) = sum_j C(i-1, j) g^(i-j) L^(j), the complete Bell recurrence.
+    For g = ln L_Z every (-1)^r g^(r) is >= 0, so each term carries the
+    sign (-1)^i and the sum cannot cancel.
+    """
+    values = [l0]
+    for i in range(1, len(g) + 1):
+        values.append(sum(math.comb(i - 1, j) * g[i - j - 1] * values[j] for j in range(i)))
+    return values
 
 
-def laplace_derivs(
-    s: float, order: int, net: NetworkParams, tol: RealTol | None = None
-) -> LaplaceDerivs:
+def laplace_derivs(s: float, order: int, net: NetworkParams) -> LaplaceDerivs:
     """Derivatives of the energy Laplace transform, orders 0..order.
 
-    Reference evaluation path: with L = exp(g), successive derivatives obey
+    With L = exp(g), successive derivatives obey
     L^(i) = sum_j C(i-1, j) g^(i-j) L^(j), which needs only the derivatives
-    of g (closed forms above).
+    of g; those come from the same incomplete-beta closed form as the
+    outage-series coefficients (for u = p_pb*mu*s <= 1, from a short
+    positive-argument 2F1 series instead).
 
     Raises:
-        DomainError: If ``order`` exceeds the stability cap (64).
-        StabilityError: If the completely-monotone sign pattern breaks.
+        DomainError: If ``order`` is not an integer in [0, 64] (the
+            stability cap), or a derivative leaves the double range.
     """
-    _check_deriv_args(s, order)
-    g = _g_derivs_s(s, order, net, tol)
-    values = [math.exp(g[0])]
-    for i in range(1, order + 1):
-        acc = 0.0
-        for j in range(i):
-            acc += math.comb(i - 1, j) * g[i - j] * values[j]
-        values.append(acc)
-    _check_alternation(values)
-    return LaplaceDerivs(s=s, values=tuple(values))
-
-
-def laplace_derivs_bell(
-    s: float, order: int, net: NetworkParams, tol: RealTol | None = None
-) -> LaplaceDerivs:
-    """Derivatives of the energy Laplace transform via Bell polynomials.
-
-    Audit path: L^(i) = exp(g) * B_i(g', ..., g^(i)) with the complete Bell
-    polynomial, and each g^(i) assembled from the parameter-shifted
-    hypergeometric family directly (no reuse of the reference ladder's
-    derivative closed forms beyond the shared 2F1 core). Practical for
-    moderate scaled arguments; very large ones exceed the series budget of
-    the underlying 2F1 and raise a convergence error rather than degrade.
-    """
-    _check_deriv_args(s, order)
-    b = net.p_pb * net.mu
-    u = b * s
-    lam_pi = math.pi * net.density
-    beta = 2.0 / net.eta
-
-    def f_hat(j: int) -> float:
-        # Index-shifted hypergeometric core scaled by the functional's
-        # leading rational factor; j = 0 reproduces F itself.
-        return (2.0 * u / (net.eta - 2.0)) * gauss_2f1(
-            j + 1.0, j + 1.0 - beta, j + 2.0 - beta, -u, tol
-        )
-
-    def upsilon(j: int) -> float:
-        sign = -1.0 if j % 2 else 1.0
-        return sign * math.factorial(j) * pochhammer(1.0 - beta, j) / pochhammer(2.0 - beta, j)
-
-    f_hats = [f_hat(j) for j in range(order + 1)]
-    g0 = -lam_pi * (u / (1.0 + u) + f_hats[0])
-    g_s: list[float] = []
-    b_pow = 1.0
-    for i in range(1, order + 1):
-        b_pow *= b
-        rational = (-1.0) ** (i + 1) * math.factorial(i) / (1.0 + u) ** (i + 1)
-        g_u = -lam_pi * (
-            rational
-            + (i / u) * upsilon(i - 1) * f_hats[i - 1]
-            + upsilon(i) * f_hats[i]
-        )
-        g_s.append(b_pow * g_u)
-
-    base = math.exp(g0)
-    values = [base * complete_bell(g_s[:i]) for i in range(order + 1)]
-    _check_alternation(values)
+    if not (s > 0.0):
+        raise DomainError(f"s must be > 0, got {s!r}")
+    if not (0 <= order <= _DERIV_CAP and int(order) == order):
+        raise DomainError(f"derivative order must be an integer in [0, {_DERIV_CAP}], got {order!r}")
+    values = _ladder(laplace_z(s, net), _g_derivs(s, order, net))
     return LaplaceDerivs(s=s, values=tuple(values))
 
 
@@ -346,9 +268,7 @@ def _series_coefficients(count: int, u: float, net: NetworkParams) -> np.ndarray
     return math.pi * net.density * (near + radial)
 
 
-def energy_supply_prob_mp(
-    m: int, n: int, p_t: float, net: NetworkParams, tol: RealTol | None = None
-) -> float:
+def energy_supply_prob_mp(m: int, n: int, p_t: float, net: NetworkParams) -> float:
     """Probability that m harvesting slots cover an n-slot codeword.
 
     Evaluates 1 minus the outage series sum_{i<n/2} T_i, where
@@ -382,7 +302,7 @@ def energy_supply_prob_mp(
         # outage is far below double-precision resolution.
         return 1.0
 
-    offset = _log_laplace(u, net, tol)
+    offset = _log_laplace(u, net)
     t = np.zeros(count)
     t[0] = 1.0
     total = 1.0
@@ -409,7 +329,6 @@ def achievable_rate_mp(
     p_t: float,
     sigma2: float,
     net: NetworkParams,
-    tol: RealTol | None = None,
 ) -> "single_pb.RateResult":
     """Finite-blocklength achievable rate for a Poisson-field powered link.
 
@@ -428,7 +347,7 @@ def achievable_rate_mp(
         from . import planner  # deferred: planner builds on this module
 
         feasible = plan.n >= planner.min_transmit_blocklength(plan.epsilon) and (
-            energy_supply_prob_mp(plan.m, plan.n, p_t, net, tol)
+            energy_supply_prob_mp(plan.m, plan.n, p_t, net)
             >= 2.0 / (2.0 + plan.epsilon)
         )
     clamped = raw < 0.0

@@ -8,10 +8,6 @@ Provided:
 
 * :func:`lambert_w0` -- principal branch of the Lambert W function.
 * :func:`gauss_2f1` -- Gauss hypergeometric function 2F1 for real arguments.
-* :func:`gauss_2f1_deriv` -- k-th derivative of the specific 2F1 kernel used
-  by the Poisson-field interference functional.
-* :func:`pochhammer` -- rising factorial.
-* :func:`complete_bell` -- complete exponential Bell polynomial.
 """
 
 from __future__ import annotations
@@ -26,9 +22,6 @@ __all__ = [
     "ConvergenceError",
     "lambert_w0",
     "gauss_2f1",
-    "gauss_2f1_deriv",
-    "pochhammer",
-    "complete_bell",
 ]
 
 
@@ -192,61 +185,3 @@ def gauss_2f1(a: float, b: float, c: float, z: float, tol: RealTol | None = None
         return (1.0 - z) ** (-a) * _hyp_series(a, c - b, c, w, tol)
     return _hyp_series(a, b, c, z, tol)
 
-
-def gauss_2f1_deriv(k: int, x1: float, eta: float, tol: RealTol | None = None) -> float:
-    """k-th derivative in x1 of 2F1(1, 1 - 2/eta; 2 - 2/eta; -x1).
-
-    Uses the contiguous-parameter ladder: differentiating the series k times
-    shifts every parameter up by k and multiplies by
-    (-1)^k k! (1 - 2/eta)_k / (2 - 2/eta)_k.
-
-    Args:
-        k: Derivative order, k >= 0.
-        x1: Evaluation point, x1 >= 0.
-        eta: Path-loss exponent, eta > 2.
-        tol: Convergence control; defaults to :data:`DEFAULT_TOL`.
-    """
-    if k < 0:
-        raise DomainError(f"gauss_2f1_deriv: order k={k!r} must be >= 0")
-    if x1 < 0.0:
-        raise DomainError(f"gauss_2f1_deriv: x1={x1!r} must be >= 0")
-    if eta <= 2.0:
-        raise DomainError(f"gauss_2f1_deriv: eta={eta!r} must exceed 2")
-    beta = 2.0 / eta
-    core = gauss_2f1(k + 1.0, k + 1.0 - beta, k + 2.0 - beta, -x1, tol)
-    if k == 0:
-        return core
-    sign = -1.0 if k % 2 else 1.0
-    return sign * math.factorial(k) * pochhammer(1.0 - beta, k) / pochhammer(2.0 - beta, k) * core
-
-
-# =============================================================================
-# Combinatorial helpers
-# =============================================================================
-
-
-def pochhammer(x: float, k: int) -> float:
-    """Rising factorial (x)_k = x (x+1) ... (x+k-1), with (x)_0 = 1."""
-    if k < 0:
-        raise DomainError(f"pochhammer: k={k!r} must be >= 0")
-    out = 1.0
-    for j in range(k):
-        out *= x + j
-    return out
-
-
-def complete_bell(u: list[float] | tuple[float, ...]) -> float:
-    """Complete exponential Bell polynomial B_n(u_1, ..., u_n).
-
-    Computed by the binomial recurrence
-    B_{m+1} = sum_{j=0}^{m} C(m, j) B_{m-j} u_{j+1}, B_0 = 1,
-    so ``complete_bell([])`` is 1, ``complete_bell([u1])`` is u1, and so on.
-    """
-    n = len(u)
-    bell = [1.0] + [0.0] * n
-    for m in range(n):
-        acc = 0.0
-        for j in range(m + 1):
-            acc += math.comb(m, j) * bell[m - j] * u[j]
-        bell[m + 1] = acc
-    return bell[n]

@@ -3,25 +3,57 @@
 
 import math
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wplink import multi_pb
 from wplink.multi_pb import (
     LaplaceDerivs,
     NetworkParams,
     achievable_rate_mp,
     energy_supply_prob_mp,
-    f_deriv,
     laplace_derivs,
-    laplace_derivs_bell,
     laplace_z,
     mean_harvested,
 )
 from wplink.single_pb import BlocklengthPlan, LinkParams, achievable_rate_fbl
-from wplink.specfun import DomainError
+from wplink.specfun import ConvergenceError, DomainError
 
 NET = NetworkParams(density=1e-3, p_pb=1e3, mu=1.0, eta=3.6)
 NET_DENSE = NetworkParams(density=5e-3, p_pb=1e3, mu=1.0, eta=3.6)
+
+
+def hyp_derivs(s, order, net):
+    """The derivative ladder fed by the positive-argument 2F1 form."""
+    return multi_pb._ladder(laplace_z(s, net), multi_pb._g_derivs_hyp(s, order, net))
+
+
+def f_deriv(k, u, eta, g_derivs=multi_pb._g_derivs):
+    """k-th derivative of the radial functional F(u, eta), read off a g-ladder.
+
+    With pi*density = 1 and p_pb*mu = 1, g^(k)(u) = -(q_k + F^(k)(u)), where
+    q_k = (-1)^(k+1) k!/(1+u)^(k+1) is the k-th derivative of u/(1+u).
+    """
+    if k == 0:
+        return multi_pb._radial(u, eta)
+    unit = NetworkParams(density=1.0 / math.pi, p_pb=1.0, mu=1.0, eta=eta)
+    near = (-1.0) ** (k + 1) * math.factorial(k) / (1.0 + u) ** (k + 1)
+    return -g_derivs(u, k, unit)[k - 1] - near
+
+
+def mp_radial_derivs(u, order, eta):
+    """[F(u), F'(u), ..., F^(order)(u)] at working precision from the
+    parameter-shifted 2F1 ladder (DLMF 15.5.2): F = alpha/(1-alpha) u H(u),
+    H^(k) = (-1)^k k! (1-alpha)_k/(2-alpha)_k 2F1(k+1, k+1-alpha; k+2-alpha; -u)."""
+    u, alpha = mp.mpf(u), mp.mpf(2) / eta
+    h = [
+        (-1) ** k * mp.factorial(k) * mp.rf(1 - alpha, k) / mp.rf(2 - alpha, k)
+        * mp.hyp2f1(k + 1, k + 1 - alpha, k + 2 - alpha, -u)
+        for k in range(order + 1)
+    ]
+    lead = alpha / (1 - alpha)
+    return [lead * u * h[0]] + [lead * (k * h[k - 1] + u * h[k]) for k in range(1, order + 1)]
 
 
 # ----------------------------------------------------------------
@@ -48,6 +80,16 @@ def test_laplace_derivs_container_enforces_alternation():
         LaplaceDerivs(s=1.0, values=())
     with pytest.raises(DomainError):
         LaplaceDerivs(s=1.0, values=(1.5,))
+    # NaN compares false, so it must be rejected explicitly, as must inf
+    nan, inf = float("nan"), float("inf")
+    with pytest.raises(DomainError):
+        LaplaceDerivs(s=1.0, values=(0.5, nan, 0.1))
+    with pytest.raises(DomainError):
+        LaplaceDerivs(s=1.0, values=(0.5, -inf))
+    with pytest.raises(DomainError):
+        LaplaceDerivs(s=nan, values=(0.5, -0.3))
+    with pytest.raises(DomainError):
+        LaplaceDerivs(s=inf, values=(0.5,))
 
 
 # ----------------------------------------------------------------
@@ -62,7 +104,7 @@ def test_f_deriv_reference_values():
 
 def test_f_deriv_sign_pattern():
     # the functional is positive and increasing with concave corrections:
-    # derivative k >= 1 carries sign (-1)^(k+1)
+    # derivative k >= 1 carries sign (-1)^(k+1); u = 0.2 takes the 2F1 form
     for u in (0.2, 3.0, 80.0):
         assert f_deriv(0, u, 3.6) > 0.0
         for k in range(1, 9):
@@ -70,11 +112,31 @@ def test_f_deriv_sign_pattern():
 
 
 def test_f_deriv_branches_agree_at_switchover():
-    # the series path (u <= 500) and asymptotic path (u > 500) must meet
-    for k in (0, 1, 3):
-        below = f_deriv(k, 500.0, 3.6)
-        above = f_deriv(k, 500.0000001, 3.6)
+    # derivatives: the 2F1 form (u <= 1) and the series coefficients (u > 1)
+    for k in (1, 3, 8):
+        below = f_deriv(k, 1.0, 3.6)
+        above = f_deriv(k, 1.0 + 1e-10, 3.6)
         assert above == pytest.approx(below, rel=1e-9)
+        assert f_deriv(k, 1.0 + 1e-10, 3.6, multi_pb._g_derivs_hyp) == pytest.approx(
+            above, rel=1e-12
+        )
+    # the functional: incomplete beta (u <= 1e6) and large-u expansion (above)
+    below = f_deriv(0, 1e6, 3.6)
+    above = f_deriv(0, 1e6 * (1.0 + 1e-12), 3.6)
+    assert above == pytest.approx(below, rel=1e-11)
+
+
+@pytest.mark.parametrize("eta", [2.01, 2.5, 3.0, 3.6, 4.0, 4.5, 8.0, 100.0])
+def test_radial_matches_mpmath(eta):
+    # every decade of u from 1e-12 to 1e50: both incomplete-beta branches,
+    # the large-u expansion, and eta = 4 at u >= 1e16 where SciPy's
+    # complemented incomplete beta alone loses digits
+    with mp.workdps(40):
+        for e in range(-12, 51):
+            u = 10.0**e
+            (ref,) = mp_radial_derivs(u, 0, eta)
+            rel = abs(multi_pb._radial(u, eta) - ref) / ref
+            assert rel <= 1e-13, (eta, u, float(rel))
 
 
 # ----------------------------------------------------------------
@@ -135,12 +197,34 @@ def test_laplace_derivs_order_cap():
         laplace_derivs(0.0, 2, NET)
 
 
+@pytest.mark.parametrize("s", [1e-12, 1e-7, 1e-5, 3.0])
+def test_laplace_derivs_order_64_match_mpmath(s):
+    # at small s the series coefficients c_r underflow long before order 64,
+    # so the ladder must come from the 2F1 form there; s = 3 takes the c_r
+    net = NetworkParams(density=1e-3, p_pb=1.0)
+    d = laplace_derivs(s, 64, net)
+    with mp.workdps(40):
+        lam_pi = mp.pi * net.density
+        f = mp_radial_derivs(s, 64, net.eta)
+        u = mp.mpf(s)
+        g = [
+            -lam_pi * ((-1) ** (k + 1) * mp.factorial(k) / (1 + u) ** (k + 1) + f[k])
+            for k in range(1, 65)
+        ]
+        ref = [mp.exp(-lam_pi * (u / (1 + u) + f[0]))]
+        for i in range(1, 65):
+            ref.append(mp.fsum(mp.binomial(i - 1, j) * g[i - j - 1] * ref[j] for j in range(i)))
+        for k, (v, r) in enumerate(zip(d.values, ref)):
+            assert math.isfinite(v), (s, k)
+            assert abs(v - r) <= 1e-10 * abs(r), (s, k, v, float(r))
+
+
 def test_derivative_paths_agree_on_reference_nets():
     for net in (NET, NET_DENSE):
         for s in (0.05, 1.0, 2.0):
             a = laplace_derivs(s, 8, net)
-            b = laplace_derivs_bell(s, 8, net)
-            for va, vb in zip(a.values, b.values):
+            b = hyp_derivs(s, 8, net)
+            for va, vb in zip(a.values, b):
                 assert vb == pytest.approx(va, rel=1e-10)
 
 
@@ -153,24 +237,22 @@ def test_derivative_paths_agree_on_reference_nets():
     st.floats(min_value=2.2, max_value=5.0),
 )
 def test_derivative_paths_agree_property(s, order, density, p_pb, eta):
-    # scaled argument u = p_pb*s capped at 500, inside the audit path's
-    # documented series budget
+    # scaled argument u = p_pb*s capped at 500, inside the 2F1 form's
+    # series budget; u <= 1 is where laplace_derivs takes that form itself
     net = NetworkParams(density=density, p_pb=p_pb, mu=1.0, eta=eta)
     a = laplace_derivs(s, order, net)
-    b = laplace_derivs_bell(s, order, net)
+    b = hyp_derivs(s, order, net)
     scale = max(abs(v) for v in a.values)
-    for va, vb in zip(a.values, b.values):
+    for va, vb in zip(a.values, b):
         assert abs(va - vb) <= 1e-9 * scale
 
 
 def test_audit_path_rejects_oversized_arguments():
-    # the reference ladder switches to the asymptotic expansion, while the
-    # audit path declares defeat loudly rather than degrade silently
-    from wplink.specfun import ConvergenceError
-
+    # the series coefficients serve any argument, while the 2F1 form needs
+    # about 1/(1-w) terms and declares defeat loudly rather than degrade
     assert laplace_derivs(20.0, 8, NET).order == 8  # u = 2e4: fine here
     with pytest.raises(ConvergenceError):
-        laplace_derivs_bell(20.0, 8, NET)
+        hyp_derivs(20.0, 8, NET)
 
 
 # ----------------------------------------------------------------

@@ -5,16 +5,14 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wplink.multi_pb import NetworkParams, _ladder, laplace_derivs
 from wplink.specfun import (
     DEFAULT_TOL,
     ConvergenceError,
     DomainError,
     RealTol,
-    complete_bell,
     gauss_2f1,
-    gauss_2f1_deriv,
     lambert_w0,
-    pochhammer,
 )
 
 INV_E = math.exp(-1.0)
@@ -118,12 +116,27 @@ def test_hyp_domain_errors():
 
 
 # ----------------------------------------------------------------
-# Parameter-shifted 2F1 derivatives
+# Derivatives of the 2F1 kernel, in the positive-argument form
+
+
+def kernel_deriv(k, x1, eta):
+    """k-th derivative in x1 of 2F1(1, 1-beta; 2-beta; -x1), beta = 2/eta.
+
+    DLMF 15.5.2 with Pfaff's transformation gives
+    (-1)^k k! (1-beta)/(k+1-beta) (1+x1)^(-k-1) 2F1(k+1, 1; k+2-beta; w),
+    w = x1/(1+x1): the same positive-argument family of gauss_2f1 calls that
+    the beacon-field derivative ladder makes for small arguments.
+    """
+    beta = 2.0 / eta
+    hyp = gauss_2f1(k + 1.0, 1.0, k + 2.0 - beta, x1 / (1.0 + x1))
+    return (-1.0) ** k * math.factorial(k) * (1.0 - beta) / (k + 1.0 - beta) * hyp / (
+        1.0 + x1
+    ) ** (k + 1)
 
 
 def test_deriv_order_zero_is_function():
     for x1 in (0.0, 0.7, 12.0):
-        assert gauss_2f1_deriv(0, x1, 3.6) == pytest.approx(
+        assert kernel_deriv(0, x1, 3.6) == pytest.approx(
             gauss_2f1(1.0, 1.0 - 2.0 / 3.6, 2.0 - 2.0 / 3.6, -x1), rel=1e-12
         )
 
@@ -131,14 +144,12 @@ def test_deriv_order_zero_is_function():
 def test_deriv_first_order_at_origin():
     eta = 3.6
     expected = -(1.0 - 2.0 / eta) / (2.0 - 2.0 / eta)
-    assert gauss_2f1_deriv(1, 0.0, eta) == pytest.approx(expected, rel=1e-12)
+    assert kernel_deriv(1, 0.0, eta) == pytest.approx(expected, rel=1e-12)
 
 
 def test_deriv_reference_value():
     # frozen: Richardson-extrapolated central differences of gauss_2f1
-    assert gauss_2f1_deriv(3, 2.0, 3.6) == pytest.approx(
-        -0.024742440905617058, rel=1e-9
-    )
+    assert kernel_deriv(3, 2.0, 3.6) == pytest.approx(-0.024742440905617058, rel=1e-9)
 
 
 @pytest.mark.parametrize("eta", [2.5, 3.6, 4.0])
@@ -148,46 +159,35 @@ def test_deriv_ladder_consistent_with_finite_differences(eta, x1):
     # for ~1e-8 truncation error; spec'd agreement is 1e-5 relative).
     for k in (1, 2, 3, 6):
         h = 1e-4 * max(1.0, x1)
-        fd = (
-            gauss_2f1_deriv(k - 1, x1 + h, eta) - gauss_2f1_deriv(k - 1, x1 - h, eta)
-        ) / (2.0 * h)
-        exact = gauss_2f1_deriv(k, x1, eta)
+        fd = (kernel_deriv(k - 1, x1 + h, eta) - kernel_deriv(k - 1, x1 - h, eta)) / (2.0 * h)
+        exact = kernel_deriv(k, x1, eta)
         assert fd == pytest.approx(exact, rel=1e-5)
 
 
 def test_deriv_input_validation():
+    # derivative orders now enter through laplace_derivs
+    net = NetworkParams(density=1e-3, p_pb=1e3)
     with pytest.raises(DomainError):
-        gauss_2f1_deriv(-1, 1.0, 3.6)
+        laplace_derivs(1.0, -1, net)
     with pytest.raises(DomainError):
-        gauss_2f1_deriv(2, -0.5, 3.6)
+        laplace_derivs(1.0, 1.5, net)
     with pytest.raises(DomainError):
-        gauss_2f1_deriv(2, 1.0, 2.0)
+        laplace_derivs(1.0, float("nan"), net)
+    with pytest.raises(DomainError):
+        laplace_derivs(1.0, float("inf"), net)
+    with pytest.raises(DomainError):
+        laplace_derivs(-0.5, 2, net)
+    with pytest.raises(DomainError):
+        laplace_derivs(float("nan"), 2, net)
 
 
 # ----------------------------------------------------------------
-# Pochhammer symbols
+# Complete Bell polynomials: the product recurrence of the derivative
+# ladder, L^(n) = L B_n(g', ..., g^(n)) for L = exp(g)
 
 
-def test_pochhammer_small_cases():
-    assert pochhammer(2.7, 0) == 1.0
-    assert pochhammer(3.0, 2) == 12.0
-    assert pochhammer(-3.0, 5) == 0.0
-    # frozen: (4/9)(13/9)(22/9) = 1144/729
-    assert pochhammer(1.0 - 2.0 / 3.6, 3) == pytest.approx(1144.0 / 729.0, rel=1e-14)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.floats(min_value=1e-3, max_value=50.0),
-    st.integers(min_value=0, max_value=20),
-)
-def test_pochhammer_matches_log_gamma(x, k):
-    expected = math.exp(math.lgamma(x + k) - math.lgamma(x))
-    assert pochhammer(x, k) == pytest.approx(expected, rel=1e-10)
-
-
-# ----------------------------------------------------------------
-# Complete Bell polynomials
+def complete_bell(u):
+    return _ladder(1.0, list(u))[-1]
 
 
 def test_bell_small_cases():
@@ -201,19 +201,36 @@ def test_bell_small_cases():
     )
 
 
+def partition_expansion(us):
+    """B_n as the sum over integer partitions n = sum_j j*k_j of
+    n! prod_j (u_j/j!)^k_j / k_j! (Faa di Bruno's formula)."""
+    n = len(us)
+
+    def parts(rest, largest):
+        if rest == 0:
+            yield {}
+            return
+        for j in range(min(rest, largest), 0, -1):
+            for tail in parts(rest - j, j):
+                counts = dict(tail)
+                counts[j] = counts.get(j, 0) + 1
+                yield counts
+
+    total = 0.0
+    for counts in parts(n, n):
+        term = float(math.factorial(n))
+        for j, k in counts.items():
+            term *= (us[j - 1] / math.factorial(j)) ** k / math.factorial(k)
+        total += term
+    return total
+
+
 def test_bell_matches_symbolic_partition_expansion():
-    # Independent oracle: sum of partial Bell polynomials from sympy.
     import numpy as np
-    import sympy
 
     rng = np.random.default_rng(7)
-    syms = sympy.symbols("u1:9")
     for _ in range(10):
         us = rng.uniform(-2.0, 2.0, size=8)
         for n in (2, 5, 8):
-            expected = float(
-                sum(
-                    sympy.bell(n, k, syms[:n]) for k in range(1, n + 1)
-                ).subs(dict(zip(syms, us)))
-            )
+            expected = partition_expansion(list(us[:n]))
             assert complete_bell(list(us[:n])) == pytest.approx(expected, rel=1e-10)
