@@ -119,6 +119,8 @@ def _with_value(args, variable: str, value: float):
     dest = "density" if variable == "lambda" else variable
     if dest in ("m", "n"):
         value = max(int(round(value)), 1)
+    if dest == "n" and value % 2:
+        value += 1  # as BlocklengthPlan does: the series needs an even n
     setattr(ns, dest, value)
     return ns
 
@@ -522,10 +524,8 @@ def _figure_fig7():
     xs, ys = [], []
     for n in (2026, 4052, 6078, 8104, 10130):
         best = None
-        hint = None
         for p_t in _log_grid(0.1, 100.0, 9):
-            m = planner.min_harvest_blocklength_mp(n, p_t, net, eps, lo_hint=hint)
-            hint = m
+            m = planner.min_harvest_blocklength_mp(n, p_t, net, eps)
             res = multi_pb.achievable_rate_mp(
                 single_pb.BlocklengthPlan(m, n, eps), p_t, sigma2, net
             )
@@ -769,7 +769,7 @@ def _int_arg(text: str) -> int:
         value = float(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
-    if value != int(value):
+    if not math.isfinite(value) or value != int(value):
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
     return int(value)
 
@@ -834,6 +834,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    planner._THRESHOLDS.clear()
     args = _build_parser().parse_args(argv)
     try:
         _finalize(args)

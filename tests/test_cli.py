@@ -87,6 +87,20 @@ def test_sweep_grid(capsys):
     assert values == sorted(values, reverse=True)
 
 
+def test_sweep_over_n_rounds_odd_values_up(capsys):
+    # grid 2, 26.5, 51, 75.5, 100: rounded to the nearest integer, then an
+    # odd n moves up one slot, so the rows hold n = 2, 26, 52, 76, 100
+    code, out, _ = run_cli(capsys, "pes", "-m", "100", "-a", "0.1", "--sweep", "n:2:100:5")
+    assert code == 0
+    header, body = rows(out)
+    assert header == ["n", "pes"]
+    assert [float(r[0]) for r in body] == [2.0, 26.5, 51.0, 75.5, 100.0]
+    for row, n in zip(body, (2, 26, 52, 76, 100)):
+        assert float(row[1]) == pytest.approx(
+            single_pb.energy_supply_prob(100, n, 0.1), rel=1e-11
+        )
+
+
 def test_sweep_log_spacing(capsys):
     _, out, _ = run_cli(
         capsys, "pes", "-m", "100", "-n", "50", "--sweep", "a:0.01:1:3:log"
@@ -243,6 +257,24 @@ def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["pes", "--no-such-flag"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "2.5"])
+def test_non_integer_count_is_usage_error(capsys, value):
+    # an infinite count used to escape as an OverflowError traceback
+    with pytest.raises(SystemExit) as exc:
+        main(["pes", "-m", value, "-n", "4", "-a", "0.1"])
+    assert exc.value.code == 2
+    assert "expected an integer" in capsys.readouterr().err
+
+
+def test_infinite_power_is_domain_error(capsys):
+    code, _, err = run_cli(
+        capsys, "pes", "--mode", "multi", "-m", "10", "-n", "4",
+        "--pt", "inf", "--lambda", "1e-3", "--ppb", "1e3",
+    )
+    assert code == 3
+    assert err.startswith("error: p_t must be finite")
 
 
 def test_inconsistent_powers_rejected(capsys):

@@ -4,6 +4,7 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -40,6 +41,30 @@ def f_deriv(k, u, eta, g_derivs=multi_pb._g_derivs):
     unit = NetworkParams(density=1.0 / math.pi, p_pb=1.0, mu=1.0, eta=eta)
     near = (-1.0) ** (k + 1) * math.factorial(k) / (1.0 + u) ** (k + 1)
     return -g_derivs(u, k, unit)[k - 1] - near
+
+
+def reference_supply(m, n, p_t, net):
+    """Supply probability from the O(N^2) direct recurrence, N = n/2.
+
+    i T_i = sum_r c_r T_{i-r} term by term, with the package's linear
+    rescale and offset arithmetic, but with the terms in extended precision
+    (np.longdouble) and summed there: in doubles the loop itself drifts by
+    up to 4e-14 relative at N = 1e4, more than the FFT route does.
+    Returns (supply, log offset).
+    """
+    count = n // 2
+    u = multi_pb._harvest_arg(m, p_t, net)
+    offset = multi_pb._log_laplace(u, net)
+    c = multi_pb._series_coefficients(count, u, net).astype(np.longdouble)
+    t = np.zeros(count, dtype=np.longdouble)
+    t[0] = 1.0
+    for i in range(1, count):
+        ti = np.dot(c[:i], t[i - 1 :: -1]) / i
+        t[i] = ti
+        if ti > 1e250:
+            t[: i + 1] /= ti
+            offset += math.log(float(ti))
+    return max(0.0, 1.0 - math.exp(offset) * float(t.sum())), offset
 
 
 def mp_radial_derivs(u, order, eta):
@@ -155,6 +180,13 @@ def test_laplace_basics():
     assert values == sorted(values, reverse=True)  # decreasing in s
     with pytest.raises(DomainError):
         laplace_z(-1.0, NET)
+
+
+def test_laplace_at_infinity_is_zero():
+    # Z > 0 almost surely in an infinite field, so E[exp(-sZ)] -> 0; the
+    # scaled argument also overflows to inf for finite s
+    assert laplace_z(math.inf, NET) == 0.0
+    assert laplace_z(1e306, NET) == 0.0
 
 
 def test_mean_harvested_closed_form():
@@ -296,6 +328,58 @@ def test_supply_mp_monotonicities():
     assert energy_supply_prob_mp(1500, 1000, 2.0, NET) < base  # hungrier codeword
     denser = NetworkParams(density=2e-3, p_pb=1e3, mu=1.0, eta=3.6)
     assert energy_supply_prob_mp(1500, 1000, 1.0, denser) > base  # more beacons
+
+
+@pytest.mark.parametrize("eta", [2.01, 3.6, 8.0])
+def test_supply_mp_fft_series_matches_direct_loop(eta):
+    # u = 0.5 (u <= 1) and u = 500 ... 5e9 (u >> 1), n/2 from 1 to 1e4.
+    # Supply runs from 0 through tiny outages (1 - 4e-12 at eta = 3.6) to 1;
+    # at eta = 2.01, g reaches -2.8e9 and the linear rescale fires, with
+    # m = 32 at n = 2e4 (g = -9581) landing at supply 0.27.
+    net = NetworkParams(density=1e-3, p_pb=1e3, eta=eta)
+    rescaled = 0
+    points = ((1, 1e3), (1, 1.0), (16, 1.0), (32, 1.0), (1000, 1.0), (10**5, 1.0), (10**7, 1.0))
+    for n in (2, 100, 2000, 20000):
+        for m, p_t in points:
+            ref, offset = reference_supply(m, n, p_t, net)
+            got = energy_supply_prob_mp(m, n, p_t, net)
+            assert abs(got - ref) <= 1e-14, (n, m, p_t, got, ref)
+            if 0.05 <= ref <= 0.995:
+                assert got == pytest.approx(ref, rel=1e-10), (n, m, p_t)
+            rescaled += offset != multi_pb._log_laplace(multi_pb._harvest_arg(m, p_t, net), net)
+    assert rescaled or eta != 2.01
+
+
+def test_supply_slope_matches_finite_difference():
+    # d ln(outage)/d ln u = -(n/2) T_{n/2} / sum_{i<n/2} T_i drives the
+    # planner's Newton steps; check it against a central difference in ln u
+    for net, count, u in ((NET, 1000, 5e5), (NET_DENSE, 50, 2e3), (NET, 1, 40.0)):
+        _, _, slope = multi_pb._supply_and_slope(count, u, net)
+        h = 1e-5
+        up = multi_pb._supply_and_slope(count, u * math.exp(h), net)[1]
+        down = multi_pb._supply_and_slope(count, u * math.exp(-h), net)[1]
+        assert slope < 0.0
+        assert slope == pytest.approx((up - down) / (2.0 * h), rel=1e-6)
+
+
+def test_supply_mp_beyond_old_series_cap():
+    # n/2 = 2e5 lies above the former cap of 1e5; a longer codeword at the
+    # same (m, p_t) is harder to power
+    at_cap = energy_supply_prob_mp(400_000, 200_000, 1.0, NET)
+    beyond = energy_supply_prob_mp(400_000, 400_000, 1.0, NET)
+    assert 0.0 <= beyond < at_cap <= 1.0
+    with pytest.raises(DomainError):
+        energy_supply_prob_mp(400_000, 2_000_002, 1.0, NET)
+
+
+def test_supply_mp_rejects_non_finite_power():
+    # an infinite p_t used to raise a bare ValueError from log(0) for n > 2
+    # and to return 0.0 for n = 2
+    for n in (2, 10):
+        with pytest.raises(DomainError):
+            energy_supply_prob_mp(10, n, math.inf, NET)
+    with pytest.raises(DomainError):
+        energy_supply_prob_mp(10, 4, math.nan, NET)
 
 
 def test_supply_mp_extreme_scale_saturates():

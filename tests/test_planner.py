@@ -74,6 +74,40 @@ def test_min_harvest_blocklength_validation():
 
 
 NET = multi_pb.NetworkParams(density=1e-3, p_pb=1e3, mu=1.0, eta=3.6)
+NET_DENSE = multi_pb.NetworkParams(density=5e-3, p_pb=1e3, mu=1.0, eta=3.6)
+
+
+def bisect_min_harvest(n, p_t, net, epsilon):
+    """The search the threshold planner replaced, kept as its reference:
+    doubling then bisection on m, one series evaluation per probe."""
+    target = 2.0 / (2.0 + epsilon)
+
+    def ok(m):
+        return multi_pb.energy_supply_prob_mp(m, n, p_t, net) >= target
+
+    if ok(1):
+        return 1
+    lo, hi = 1, 2
+    while not ok(hi):
+        assert hi < planner._M_SEARCH_CAP
+        lo, hi = hi, min(2 * hi, planner._M_SEARCH_CAP)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def count_series(monkeypatch):
+    """Count outage-series evaluations from here on."""
+    calls = []
+    series = multi_pb._outage_series
+    monkeypatch.setattr(
+        multi_pb, "_outage_series", lambda *args: calls.append(args) or series(*args)
+    )
+    return calls
 
 
 def test_min_harvest_mp_is_tight_boundary():
@@ -84,25 +118,62 @@ def test_min_harvest_mp_is_tight_boundary():
     assert multi_pb.energy_supply_prob_mp(m - 1, 1000, 1.0, NET) < target
 
 
-def test_min_harvest_mp_hint_does_not_change_answer():
-    eps = 0.05
-    base = planner.min_harvest_blocklength_mp(1000, 1.0, NET, eps)
-    for hint in (2, base - 1, base, base + 7, 8 * base):
-        assert (
-            planner.min_harvest_blocklength_mp(1000, 1.0, NET, eps, lo_hint=hint)
-            == base
-        )
-
-
 def test_min_harvest_mp_zero_power():
     assert planner.min_harvest_blocklength_mp(1000, 0.0, NET, 0.05) == 1
 
 
-def test_min_harvest_mp_unsatisfiable():
-    # A vanishing beacon density cannot meet the target within the cap.
+def test_min_harvest_mp_unsatisfiable(monkeypatch):
+    # A vanishing beacon density cannot meet the target within the cap,
+    # which one evaluation at m = 10^9 decides.
     ghost = multi_pb.NetworkParams(density=1e-30, p_pb=1e3, mu=1.0, eta=3.6)
+    calls = count_series(monkeypatch)
     with pytest.raises(UnsatisfiableError):
         planner.min_harvest_blocklength_mp(2, 1.0, ghost, 0.05)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n", [2, 4, 1000, 2026, 10130])
+def test_min_harvest_mp_matches_bisection(n):
+    # Same m as the bisection on every grid point. Within one (n, field,
+    # eps) every p_t after the first is served by the cached threshold.
+    planner._THRESHOLDS.clear()
+    for net in (NET, NET_DENSE):
+        for eps in (1e-3, 0.05, 0.5):
+            for p_t in (0.1, 10**0.5, 100.0):
+                got = planner.min_harvest_blocklength_mp(n, p_t, net, eps)
+                assert got == bisect_min_harvest(n, p_t, net, eps), (net, eps, p_t)
+
+
+def test_min_harvest_mp_reuses_threshold(monkeypatch):
+    # one threshold solve serves every p_t of the scan and the rate gate
+    planner._THRESHOLDS.clear()
+    calls = count_series(monkeypatch)
+    eps, n = 0.05, 2026
+    first = planner.min_harvest_blocklength_mp(n, 1.0, NET_DENSE, eps)
+    solve = len(calls)
+    assert solve <= 20
+    ms = [planner.min_harvest_blocklength_mp(n, p_t, NET_DENSE, eps) for p_t in (0.1, 3.0, 100.0)]
+    assert len(calls) - solve <= 2
+    before = len(calls)
+    for m, p_t in zip([first] + ms, (1.0, 0.1, 3.0, 100.0)):
+        plan = single_pb.BlocklengthPlan(m=m, n=n, epsilon=eps)
+        assert multi_pb.achievable_rate_mp(plan, p_t, 1.0, NET_DENSE).feasible
+        plan = single_pb.BlocklengthPlan(m=m - 1, n=n, epsilon=eps)
+        assert not multi_pb.achievable_rate_mp(plan, p_t, 1.0, NET_DENSE).feasible
+    assert len(calls) == before
+
+
+def test_min_harvest_mp_validation():
+    with pytest.raises(DomainError):
+        planner.min_harvest_blocklength_mp(1001, 1.0, NET, 0.05)  # odd
+    with pytest.raises(DomainError):
+        planner.min_harvest_blocklength_mp(1000, -1.0, NET, 0.05)
+    with pytest.raises(DomainError):
+        planner.min_harvest_blocklength_mp(1000, 1.0, NET, 1.0)
+    # a non-finite power used to raise a bare ValueError from log(0)
+    for p_t in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            planner.min_harvest_blocklength_mp(1000, p_t, NET, 0.05)
 
 
 # ----------------------------------------------------------------
