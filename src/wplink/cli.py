@@ -28,14 +28,14 @@ from .specfun import ConvergenceError, DomainError
 
 _LN2 = math.log(2.0)
 
+# The package's typed errors, exit 3. Anything else escaping a command is a
+# defect in the package and keeps its traceback.
 _LIB_ERRORS = (
     DomainError,
     ConvergenceError,
     multi_pb.StabilityError,
     planner.UnsatisfiableError,
     single_pb.SearchError,
-    ValueError,
-    OverflowError,
 )
 
 # ------------------------------------------------------------ serialization
@@ -93,39 +93,58 @@ def _parse_sweep(text: str) -> SweepSpec:
     var = parts[0].strip().lower()
     if var not in _SWEEPABLE:
         raise DomainError(f"unknown sweep variable {var!r} (choose from {', '.join(_SWEEPABLE)})")
-    start, stop = float(parts[1]), float(parts[2])
-    points = int(parts[3])
+    try:
+        start, stop = float(parts[1]), float(parts[2])
+        points = int(parts[3])
+    except ValueError:
+        raise DomainError(f"sweep {text!r} needs numeric START, STOP and integer POINTS") from None
     scale = parts[4].strip().lower() if len(parts) == 5 else "linear"
     if scale not in ("linear", "log"):
         raise DomainError(f"sweep scale must be 'log' when given, got {parts[4]!r}")
     if points < 1:
         raise DomainError("sweep needs at least one point")
     if points == 1:
-        return SweepSpec(var, (start,))
-    if not stop > start:
+        grid = (start,)
+    elif not stop > start:
         raise DomainError("sweep stop must exceed start")
-    if scale == "log":
+    elif scale == "log":
         if start <= 0.0:
             raise DomainError("log sweep needs a positive start")
-        return SweepSpec(var, _log_grid(start, stop, points))
-    step = (stop - start) / (points - 1)
-    grid = [start + i * step for i in range(points)]
-    grid[-1] = stop
+        grid = _log_grid(start, stop, points)
+    else:
+        step = (stop - start) / (points - 1)
+        grid = [start + i * step for i in range(points)]
+        grid[-1] = stop
+    if var in ("m", "n") and not all(map(math.isfinite, grid)):
+        raise DomainError(f"sweep {text!r} over a count needs a finite grid")
     return SweepSpec(var, tuple(grid))
 
 
-def _with_value(args, variable: str, value: float):
-    ns = argparse.Namespace(**vars(args))
-    dest = "density" if variable == "lambda" else variable
-    if dest in ("m", "n"):
-        value = max(int(round(value)), 1)
-    if dest == "n" and value % 2:
-        value += 1  # as BlocklengthPlan does: the series needs an even n
-    setattr(ns, dest, value)
-    return ns
+def _swept(variable: str, value: float):
+    """The value a sweep row evaluates: counts are rounded, and an odd n
+    moves up one slot, as BlocklengthPlan does (the series needs an even n)."""
+    if variable not in ("m", "n"):
+        return value
+    value = max(int(round(value)), 1)
+    return value + value % 2 if variable == "n" else value
 
 
 # ------------------------------------------------------- config & defaults
+
+
+def _int_arg(text: str) -> int:
+    """An integer within the double range, which the package computes in."""
+    try:
+        value = int(text, 0)
+    except ValueError:
+        try:
+            value = float(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
+    if not (abs(value) <= sys.float_info.max and value == int(value)):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return int(value)
+
 
 _CONFIG_KEYS = {
     "mode": ("mode", str),
@@ -134,14 +153,14 @@ _CONFIG_KEYS = {
     "sigma2": ("sigma2", float),
     "eps": ("eps", float),
     "a": ("a", float),
-    "m": ("m", int),
-    "n": ("n", int),
+    "m": ("m", _int_arg),
+    "n": ("n", _int_arg),
     "lambda": ("density", float),
     "ppb": ("ppb", float),
     "mu": ("mu", float),
     "eta": ("eta", float),
-    "mc_trials": ("mc_trials", int),
-    "seed": ("seed", int),
+    "mc_trials": ("mc_trials", _int_arg),
+    "seed": ("seed", _int_arg),
     "sweep": ("sweep", str),
 }
 
@@ -164,8 +183,8 @@ def _load_config(path: str) -> dict:
             dest, cast = _CONFIG_KEYS[key]
             text = text.strip()
             try:
-                values[dest] = int(float(text)) if cast is int else cast(text)
-            except ValueError as exc:
+                values[dest] = cast(text)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise DomainError(f"{path}:{lineno}: bad value for {key}: {text!r}") from exc
     return values
 
@@ -191,6 +210,8 @@ def _finalize(args) -> None:
 def _resolve_single(args) -> tuple[float, float, float]:
     """Pin down (a, p_t, p_e) from whichever flags were given."""
     a, p_t, p_e = args.a, args.pt, args.pe
+    if p_e is not None:
+        single_pb._check_positive("p_e", p_e)
     if a is None:
         if p_t is None or p_e is None:
             raise DomainError("single mode needs -a, or --pt together with --pe")
@@ -208,12 +229,14 @@ def _resolve_single(args) -> tuple[float, float, float]:
     return a, p_t, p_e
 
 
-def _resolve_net(args) -> multi_pb.NetworkParams:
+def _resolve_multi(args) -> tuple[float, multi_pb.NetworkParams]:
+    """(p_t, beacon field) of multi mode."""
+    if args.pt is None:
+        raise DomainError("multi mode needs --pt")
     if args.density is None or args.ppb is None:
         raise DomainError("multi mode needs --lambda and --ppb")
-    return multi_pb.NetworkParams(
-        density=args.density, p_pb=args.ppb, mu=args.mu, eta=args.eta
-    )
+    net = multi_pb.NetworkParams(density=args.density, p_pb=args.ppb, mu=args.mu, eta=args.eta)
+    return args.pt, net
 
 
 def _mc_cfg(args) -> montecarlo.McConfig:
@@ -223,55 +246,60 @@ def _mc_cfg(args) -> montecarlo.McConfig:
 # ------------------------------------------------------------- subcommands
 
 
-def cmd_pes(args) -> int:
+def _run(args, point, lead: list[str], values: list[str]) -> int:
+    """Emit ``point``'s (lead cells, value cells) for the flags, or one row per
+    sweep value, in which the grid value replaces the lead cells. A sweep sets
+    the swept field of one copy of the flags per row; any row's error aborts."""
     sweep = args.sweep
+    if sweep is None:
+        lead_cells, cells = point(args)
+        _emit(lead + values, [lead_cells + cells], args.out)
+        return 0
+    ns = argparse.Namespace(**vars(args))
+    dest = "density" if sweep.variable == "lambda" else sweep.variable
     rows = []
-    for value in sweep.grid if sweep else (None,):
-        ns = _with_value(args, sweep.variable, value) if sweep else args
-        if ns.m is None or ns.n is None:
-            raise DomainError("pes needs -m and -n")
-        if ns.mode == "single":
-            a, p_t, p_e = _resolve_single(ns)
-            analytic = single_pb.energy_supply_prob(ns.m, ns.n, a)
-            lead = [value] if sweep else [ns.m, ns.n, a]
-            est = (
-                montecarlo.estimate_supply_prob_single(ns.m, ns.n, p_t, p_e, _mc_cfg(ns))
-                if ns.mc_trials
-                else None
-            )
-        else:
-            if ns.pt is None:
-                raise DomainError("multi mode needs --pt")
-            net = _resolve_net(ns)
-            analytic = multi_pb.energy_supply_prob_mp(ns.m, ns.n, ns.pt, net)
-            lead = [value] if sweep else [ns.m, ns.n, ns.pt]
-            est = (
-                montecarlo.estimate_supply_prob_mp(ns.m, ns.n, ns.pt, net, _mc_cfg(ns))
-                if ns.mc_trials
-                else None
-            )
-        row = lead + [analytic]
-        if args.mc_trials:
-            row += [est.mean, est.std_err]
-        rows.append(row)
-    if sweep:
-        header = [sweep.variable, "pes"]
-    elif args.mode == "single":
-        header = ["m", "n", "a", "pes"]
-    else:
-        header = ["m", "n", "pt", "pes"]
-    if args.mc_trials:
-        header += ["pes_mc", "pes_mc_stderr"]
-    _emit(header, rows, args.out)
+    for value in sweep.grid:
+        setattr(ns, dest, _swept(dest, value))
+        rows.append([value] + point(ns)[1])
+    _emit([sweep.variable] + values, rows, args.out)
     return 0
 
 
-def _rate_point(ns) -> list:
-    if ns.eps is None:
-        raise DomainError("rate needs --eps")
+def _power_column(args) -> str:
+    return "a" if args.mode == "single" else "pt"
+
+
+def _pes_point(ns) -> tuple[list, list]:
+    if ns.m is None or ns.n is None:
+        raise DomainError("pes needs -m and -n")
     if ns.mode == "single":
         a, p_t, p_e = _resolve_single(ns)
-        n = ns.n if ns.n is not None else planner.min_transmit_blocklength(ns.eps)
+        lead = [ns.m, ns.n, a]
+        cells = [single_pb.energy_supply_prob(ns.m, ns.n, a)]
+        if ns.mc_trials:
+            est = montecarlo.estimate_supply_prob_single(ns.m, ns.n, p_t, p_e, _mc_cfg(ns))
+    else:
+        p_t, net = _resolve_multi(ns)
+        lead = [ns.m, ns.n, p_t]
+        cells = [multi_pb.energy_supply_prob_mp(ns.m, ns.n, p_t, net)]
+        if ns.mc_trials:
+            est = montecarlo.estimate_supply_prob_mp(ns.m, ns.n, p_t, net, _mc_cfg(ns))
+    if ns.mc_trials:
+        cells += [est.mean, est.std_err]
+    return lead, cells
+
+
+def cmd_pes(args) -> int:
+    mc = ["pes_mc", "pes_mc_stderr"] if args.mc_trials else []
+    return _run(args, _pes_point, ["m", "n", _power_column(args)], ["pes"] + mc)
+
+
+def _rate_point(ns) -> tuple[list, list]:
+    if ns.eps is None:
+        raise DomainError("rate needs --eps")
+    n = ns.n if ns.n is not None else planner.min_transmit_blocklength(ns.eps)
+    if ns.mode == "single":
+        a, p_t, p_e = _resolve_single(ns)
         m = ns.m if ns.m is not None else planner.min_harvest_blocklength(n, a, ns.eps)
         plan = single_pb.BlocklengthPlan(m, n, ns.eps)
         link = single_pb.LinkParams(p_t=p_t, p_e=p_e, sigma2=ns.sigma2)
@@ -279,41 +307,21 @@ def _rate_point(ns) -> list:
         asym = single_pb.asymptotic_rate(link, ns.eps) / _LN2
         lead = [m, n, a]
     else:
-        if ns.pt is None:
-            raise DomainError("multi mode needs --pt")
-        net = _resolve_net(ns)
-        n = ns.n if ns.n is not None else planner.min_transmit_blocklength(ns.eps)
-        m = (
-            ns.m
-            if ns.m is not None
-            else planner.min_harvest_blocklength_mp(n, ns.pt, net, ns.eps)
-        )
+        p_t, net = _resolve_multi(ns)
+        m = ns.m if ns.m is not None else planner.min_harvest_blocklength_mp(n, p_t, net, ns.eps)
         plan = single_pb.BlocklengthPlan(m, n, ns.eps)
-        res = multi_pb.achievable_rate_mp(plan, ns.pt, ns.sigma2, net)
+        res = multi_pb.achievable_rate_mp(plan, p_t, ns.sigma2, net)
         asym = None
-        lead = [m, n, ns.pt]
-    rate = res.rate_bits if res.feasible else None
-    return lead + [rate, asym, res.feasible]
+        lead = [m, n, p_t]
+    return lead, [res.rate_bits if res.feasible else None, asym, res.feasible]
 
 
 def cmd_rate(args) -> int:
-    sweep = args.sweep
-    rows = []
-    for value in sweep.grid if sweep else (None,):
-        ns = _with_value(args, sweep.variable, value) if sweep else args
-        point = _rate_point(ns)
-        rows.append(([value] if sweep else point[:3]) + point[3:])
-    if sweep:
-        lead = [sweep.variable]
-    elif args.mode == "single":
-        lead = ["m", "n", "a"]
-    else:
-        lead = ["m", "n", "pt"]
-    _emit(lead + ["rate_bits", "rate_bits_asymptotic", "feasible"], rows, args.out)
-    return 0
+    values = ["rate_bits", "rate_bits_asymptotic", "feasible"]
+    return _run(args, _rate_point, ["m", "n", _power_column(args)], values)
 
 
-def _optpower_point(ns) -> list:
+def _optpower_point(ns) -> tuple[list, list]:
     if ns.mode != "single":
         raise DomainError("optpower applies to single mode only")
     if ns.pe is None or ns.eps is None:
@@ -326,7 +334,7 @@ def _optpower_point(ns) -> list:
         single_pb.BlocklengthPlan(m, n, ns.eps),
         single_pb.LinkParams(p_t=pt_asym, p_e=ns.pe, sigma2=ns.sigma2),
     )
-    return [
+    return [], [
         pt_asym,
         pt_fbl,
         pt_asym / ns.pe,
@@ -337,13 +345,7 @@ def _optpower_point(ns) -> list:
 
 
 def cmd_optpower(args) -> int:
-    sweep = args.sweep
-    rows = []
-    for value in sweep.grid if sweep else (None,):
-        ns = _with_value(args, sweep.variable, value) if sweep else args
-        point = _optpower_point(ns)
-        rows.append(([value] if sweep else []) + point)
-    header = ([sweep.variable] if sweep else []) + [
+    values = [
         "pt_asym",
         "pt_fbl",
         "a_asym",
@@ -351,11 +353,10 @@ def cmd_optpower(args) -> int:
         "rate_bits_at_pt_asym",
         "rate_bits_at_pt_fbl",
     ]
-    _emit(header, rows, args.out)
-    return 0
+    return _run(args, _optpower_point, [], values)
 
 
-def _plan_point(ns) -> list:
+def _plan_point(ns) -> tuple[list, list]:
     if ns.eps is None:
         raise DomainError("plan needs --eps")
     n_min = planner.min_transmit_blocklength(ns.eps)
@@ -364,22 +365,14 @@ def _plan_point(ns) -> list:
         m_min = planner.min_harvest_blocklength(n_min, a, ns.eps)
         overhead = planner.harvest_overhead(a, ns.eps)
     else:
-        if ns.pt is None:
-            raise DomainError("multi mode needs --pt")
-        m_min = planner.min_harvest_blocklength_mp(n_min, ns.pt, _resolve_net(ns), ns.eps)
+        p_t, net = _resolve_multi(ns)
+        m_min = planner.min_harvest_blocklength_mp(n_min, p_t, net, ns.eps)
         overhead = None
-    return [n_min, m_min, overhead, n_min + m_min]
+    return [], [n_min, m_min, overhead, n_min + m_min]
 
 
 def cmd_plan(args) -> int:
-    sweep = args.sweep
-    rows = []
-    for value in sweep.grid if sweep else (None,):
-        ns = _with_value(args, sweep.variable, value) if sweep else args
-        rows.append(([value] if sweep else []) + _plan_point(ns))
-    header = ([sweep.variable] if sweep else []) + ["n_min", "m_min", "overhead", "total"]
-    _emit(header, rows, args.out)
-    return 0
+    return _run(args, _plan_point, [], ["n_min", "m_min", "overhead", "total"])
 
 
 # ----------------------------------------------------------------- figures
@@ -760,20 +753,6 @@ def render_line_chart(path, series, *, x_label="", y_label="", log_x=False, log_
 # ------------------------------------------------------------------ parser
 
 
-def _int_arg(text: str) -> int:
-    try:
-        return int(text, 0)
-    except ValueError:
-        pass
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
-    if not math.isfinite(value) or value != int(value):
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    return int(value)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wplink",
@@ -842,6 +821,9 @@ def main(argv=None) -> int:
     except _LIB_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # an unreadable --config or an unwritable --out
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

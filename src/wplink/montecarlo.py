@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .multi_pb import NetworkParams
+from .single_pb import _check_count, _check_positive, _check_power
 from .specfun import DomainError
 
 __all__ = [
@@ -55,9 +56,8 @@ class McConfig:
     truncation_tail: float = 1e-4
 
     def __post_init__(self) -> None:
-        if int(self.trials) != self.trials or self.trials < 1:
-            raise DomainError(f"trials must be a positive integer, got {self.trials!r}")
-        if int(self.seed) != self.seed or not (0 <= self.seed < 2 ** 64):
+        _check_count("trials", self.trials)
+        if not _check_count("seed", self.seed, 0) < 2 ** 64:
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if not (0.0 < self.truncation_tail < 1.0):
             raise DomainError(
@@ -92,6 +92,12 @@ def _binomial_estimate(count: int, cfg: McConfig) -> McEstimate:
         trials=cfg.trials,
         seed=cfg.seed,
     )
+
+
+def _check_frame(m: int, n: int, p_t: float) -> tuple[int, int]:
+    """Slot counts >= 1 (a chi-squared(n) energy needs no even n) and p_t."""
+    _check_power(p_t)
+    return _check_count("harvest blocklength m", m), _check_count("transmit blocklength n", n)
 
 
 def _codeword_energies(
@@ -129,10 +135,8 @@ def estimate_supply_prob_single(
     ``m`` harvesting slots, against the summed squared-Gaussian symbol
     energies of an ``n``-slot codeword at power ``p_t``.
     """
-    if m < 1 or n < 1:
-        raise DomainError("m and n must be >= 1")
-    if not (p_t >= 0.0) or not (p_e > 0.0):
-        raise DomainError("p_t must be >= 0 and p_e > 0")
+    m, n = _check_frame(m, n, p_t)
+    _check_positive("p_e", p_e)
     count = 0
     for block, size in _block_sizes(cfg.trials):
         rng = _rng(cfg.seed, block)
@@ -152,10 +156,8 @@ def check_prefix_equivalence(
     so the two counts must agree exactly — checked trial by trial here
     rather than assumed.
     """
-    if m < 1 or n < 1:
-        raise DomainError("m and n must be >= 1")
-    if not (p_t >= 0.0) or not (p_e > 0.0):
-        raise DomainError("p_t must be >= 0 and p_e > 0")
+    m, n = _check_frame(m, n, p_t)
+    _check_positive("p_e", p_e)
     prefix_count = 0
     final_count = 0
     for block, size in _block_sizes(cfg.trials):
@@ -207,8 +209,7 @@ def _ppp_block(rng: np.random.Generator, size: int, net: NetworkParams, radius: 
 
 def sample_ppp_energies(net: NetworkParams, cfg: McConfig, count: int) -> np.ndarray:
     """Batch of ``count`` per-slot harvested energy draws (deterministic)."""
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count!r}")
+    count = _check_count("count", count)
     radius = truncation_radius(net, cfg.truncation_tail)
     out = np.empty(count)
     done = 0
@@ -234,10 +235,7 @@ def estimate_supply_prob_mp(
     Per trial: one beacon-field energy draw scaled by the ``m`` harvesting
     slots, against a chi-squared(n) codeword energy at power ``p_t``.
     """
-    if m < 1 or n < 1:
-        raise DomainError("m and n must be >= 1")
-    if not (p_t >= 0.0):
-        raise DomainError("p_t must be >= 0")
+    m, n = _check_frame(m, n, p_t)
     radius = truncation_radius(net, cfg.truncation_tail)
     count = 0
     for block, size in _block_sizes(cfg.trials):

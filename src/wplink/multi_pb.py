@@ -27,6 +27,7 @@ import numpy as np
 from scipy.special import betainc, betaincc, betaln
 
 from . import single_pb
+from .single_pb import _check_count, _check_even_n, _check_positive, _check_power
 from .specfun import DomainError, gauss_2f1
 
 __all__ = [
@@ -72,7 +73,7 @@ class NetworkParams:
         density: Beacon density (nodes per unit area), > 0.
         p_pb: Beacon transmit power (energy per channel use), > 0.
         mu: Rectifier efficiency, in (0, 1].
-        eta: Path loss exponent, > 2.
+        eta: Path loss exponent, finite and > 2.
     """
 
     density: float
@@ -81,14 +82,12 @@ class NetworkParams:
     eta: float = 3.6
 
     def __post_init__(self) -> None:
-        if not (self.density > 0.0):
-            raise DomainError(f"density must be > 0, got {self.density!r}")
-        if not (self.p_pb > 0.0):
-            raise DomainError(f"p_pb must be > 0, got {self.p_pb!r}")
+        _check_positive("density", self.density)
+        _check_positive("p_pb", self.p_pb)
         if not (0.0 < self.mu <= 1.0):
             raise DomainError(f"mu must lie in (0, 1], got {self.mu!r}")
-        if not (self.eta > 2.0):
-            raise DomainError(f"eta must be > 2, got {self.eta!r}")
+        if not (2.0 < self.eta < math.inf):
+            raise DomainError(f"eta must be finite and > 2, got {self.eta!r}")
 
 
 @dataclass(frozen=True)
@@ -239,8 +238,7 @@ def laplace_derivs(s: float, order: int, net: NetworkParams) -> LaplaceDerivs:
         DomainError: If ``order`` is not an integer in [0, 64] (the
             stability cap), or a derivative leaves the double range.
     """
-    if not (s > 0.0):
-        raise DomainError(f"s must be > 0, got {s!r}")
+    _check_positive("s", s)
     if not (0 <= order <= _DERIV_CAP and int(order) == order):
         raise DomainError(f"derivative order must be an integer in [0, {_DERIV_CAP}], got {order!r}")
     values = _ladder(laplace_z(s, net), _g_derivs(s, order, net))
@@ -283,14 +281,11 @@ def _harvest_arg(m: int, p_t: float, net: NetworkParams) -> float:
 
 
 def _check_supply_args(m: int, n: int, p_t: float) -> None:
-    if int(m) != m or m < 1:
-        raise DomainError(f"harvest blocklength m must be an integer >= 1, got {m!r}")
-    if int(n) != n or n < 2 or int(n) % 2:
-        raise DomainError(f"transmit blocklength n must be an even integer >= 2, got {n!r}")
+    _check_count("harvest blocklength m", m)
+    _check_even_n(n)
     if n // 2 > _SERIES_CAP:
         raise DomainError(f"n/2 = {n // 2} exceeds the series cap {_SERIES_CAP}")
-    if not (0.0 <= p_t < math.inf):
-        raise DomainError(f"p_t must be finite and >= 0, got {p_t!r}")
+    _check_power(p_t, finite=True)
 
 
 def _outage_series(count: int, u: float, net: NetworkParams) -> tuple[float, float, float]:
@@ -394,7 +389,7 @@ def energy_supply_prob_mp(m: int, n: int, p_t: float, net: NetworkParams) -> flo
     _check_supply_args(m, n, p_t)
     if p_t == 0.0:
         return 1.0
-    return _supply_and_slope(n // 2, _harvest_arg(m, p_t, net), net)[0]
+    return _supply_and_slope(int(n) // 2, _harvest_arg(m, p_t, net), net)[0]
 
 
 def achievable_rate_mp(
@@ -409,10 +404,8 @@ def achievable_rate_mp(
     p_t/sigma2; feasibility requires the transmit blocklength to reach the
     error-target floor and the supply probability to reach 2/(2+eps).
     """
-    if not (p_t >= 0.0):
-        raise DomainError(f"p_t must be >= 0, got {p_t!r}")
-    if not (sigma2 > 0.0):
-        raise DomainError(f"sigma2 must be > 0, got {sigma2!r}")
+    _check_power(p_t)
+    _check_positive("sigma2", sigma2)
     raw = single_pb._raw_rate_nats(plan.m, plan.n, p_t / sigma2, plan.epsilon)
     if plan.epsilon == 0.0:
         feasible = p_t == 0.0

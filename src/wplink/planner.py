@@ -12,7 +12,7 @@ import math
 from typing import NamedTuple
 
 from . import multi_pb, single_pb
-from .specfun import DomainError
+from .single_pb import _check_epsilon, _check_even_n, _check_ratio
 
 __all__ = [
     "UnsatisfiableError",
@@ -48,11 +48,6 @@ class ScalingRate(NamedTuple):
     small_eps: float
 
 
-def _check_epsilon(epsilon: float) -> None:
-    if not (0.0 < epsilon < 1.0):
-        raise DomainError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-
-
 def min_transmit_blocklength(epsilon: float) -> int:
     """Shortest even transmit blocklength admitted by the error target.
 
@@ -60,19 +55,22 @@ def min_transmit_blocklength(epsilon: float) -> int:
     integer and then pushed up to the next even value, with 2 as the
     smallest possible answer.
     """
-    _check_epsilon(epsilon)
     n = max(int(math.floor(single_pb.transmit_floor(epsilon) + 0.5)), 2)
     return n + 1 if n % 2 else n
 
 
 def min_harvest_blocklength(n: int, a: float, epsilon: float) -> int:
-    """Shortest harvest blocklength powering an n-slot transmit phase."""
-    if int(n) != n or n < 2 or int(n) % 2:
-        raise DomainError(f"n must be an even integer >= 2, got {n!r}")
-    _check_epsilon(epsilon)
-    if not (a >= 0.0):
-        raise DomainError(f"power ratio a must be >= 0, got {a!r}")
-    return int(math.ceil(single_pb.harvest_floor_real(float(n), a, epsilon)))
+    """Shortest harvest blocklength powering an n-slot transmit phase.
+
+    Raises:
+        DomainError: Odd n, a < 0, or eps outside (0, 1).
+        UnsatisfiableError: If the real-valued floor leaves the double range.
+    """
+    _check_even_n(n)
+    floor = single_pb.harvest_floor_real(float(n), a, epsilon)
+    if floor == math.inf:
+        raise UnsatisfiableError(f"harvest floor overflows for n={n!r}, a={a!r}, eps={epsilon!r}")
+    return int(math.ceil(floor))
 
 
 class _Threshold:
@@ -122,7 +120,9 @@ class _Threshold:
         a quarter of the tolerance so that the iterates straddle u*. Stopping
         early only leaves more of the search to direct evaluations.
         """
-        log_budget = math.log1p(-self.target)
+        # A target that rounds to 1 leaves no finite Newton goal; capped
+        # steps and bisection then find the bracket alone.
+        log_budget = math.log1p(-self.target) if self.target < 1.0 else -math.inf
         mean_u = self.count * self.net.p_pb * self.net.mu / multi_pb.mean_harvested(self.net)
         v = math.log(mean_u)
         for _ in range(_SOLVE_ITERS):
@@ -162,7 +162,7 @@ def _meets_supply_target(
     multi_pb._check_supply_args(m, n, p_t)
     if p_t == 0.0:
         return True
-    return _threshold(n // 2, net, epsilon).feasible(multi_pb._harvest_arg(m, p_t, net))
+    return _threshold(int(n) // 2, net, epsilon).feasible(multi_pb._harvest_arg(m, p_t, net))
 
 
 def min_harvest_blocklength_mp(
@@ -188,7 +188,7 @@ def min_harvest_blocklength_mp(
     _check_epsilon(epsilon)
     if p_t == 0.0:
         return 1
-    threshold = _threshold(n // 2, net, epsilon)
+    threshold = _threshold(int(n) // 2, net, epsilon)
 
     def ok(m: int) -> bool:
         return threshold.feasible(multi_pb._harvest_arg(m, p_t, net))
@@ -219,8 +219,7 @@ def scaling_rate(a: float, epsilon: float) -> ScalingRate:
     approximation 2a/eps.
     """
     _check_epsilon(epsilon)
-    if not (a >= 0.0):
-        raise DomainError(f"power ratio a must be >= 0, got {a!r}")
+    _check_ratio(a)
     return ScalingRate(
         exact=a / math.log1p(0.5 * epsilon),
         small_eps=2.0 * a / epsilon,
@@ -230,6 +229,5 @@ def scaling_rate(a: float, epsilon: float) -> ScalingRate:
 def harvest_overhead(a: float, epsilon: float) -> float:
     """Frame-length inflation factor from harvesting: 1 + 2a/eps."""
     _check_epsilon(epsilon)
-    if not (a >= 0.0):
-        raise DomainError(f"power ratio a must be >= 0, got {a!r}")
+    _check_ratio(a)
     return 1.0 + 2.0 * a / epsilon

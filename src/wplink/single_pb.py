@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .specfun import DomainError, RealTol, lambert_w0
+from .specfun import DomainError, lambert_w0
 
 __all__ = [
     "LinkParams",
@@ -46,9 +46,56 @@ _LN2 = math.log(2.0)
 _INV_E = math.exp(-1.0)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+# Stopping rule of optimal_power_fbl's golden-section search in ln(p_t).
+_FBL_XTOL = 1e-10
+_FBL_ITERS = 200
+
 
 class SearchError(RuntimeError):
     """Raised when a numerical search cannot produce a meaningful result."""
+
+
+# =============================================================================
+# Domain rules: one validator each, called by every module's entry points
+# =============================================================================
+
+
+def _check_count(name: str, value, minimum: int = 1) -> int:
+    """A count: an integer >= ``minimum``, returned as an int. ``value % 1`` is
+    NaN for inf, so inf, NaN and fractions all fail without an OverflowError."""
+    if not (value >= minimum and value % 1 == 0):
+        raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def _check_even_n(n) -> None:
+    """A transmit blocklength: an even integer >= 2, since the codeword
+    energy is a chi-squared(n) sum over n/2 complex symbols."""
+    if not (n >= 2 and n % 2 == 0):
+        raise DomainError(f"transmit blocklength n must be an even integer >= 2, got {n!r}")
+
+
+def _check_epsilon(epsilon: float, zero_ok: bool = False) -> None:
+    """An error target in (0, 1), or in [0, 1) where ``zero_ok``."""
+    if not (0.0 < epsilon < 1.0 or (zero_ok and epsilon == 0.0)):
+        interval = "[0, 1)" if zero_ok else "(0, 1)"
+        raise DomainError(f"epsilon must lie in {interval}, got {epsilon!r}")
+
+
+def _check_ratio(a: float) -> None:
+    if not (a >= 0.0):
+        raise DomainError(f"power ratio a must be >= 0, got {a!r}")
+
+
+def _check_power(p_t: float, finite: bool = False) -> None:
+    """A transmit power >= 0; ``finite`` where a series needs a finite one."""
+    if not (p_t >= 0.0 and (p_t < math.inf or not finite)):
+        raise DomainError(f"p_t must be {'finite and ' if finite else ''}>= 0, got {p_t!r}")
+
+
+def _check_positive(name: str, value: float) -> None:
+    if not (value > 0.0):
+        raise DomainError(f"{name} must be > 0, got {value!r}")
 
 
 # =============================================================================
@@ -71,12 +118,9 @@ class LinkParams:
     sigma2: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.p_t >= 0.0):
-            raise DomainError(f"p_t must be >= 0, got {self.p_t!r}")
-        if not (self.p_e > 0.0):
-            raise DomainError(f"p_e must be > 0, got {self.p_e!r}")
-        if not (self.sigma2 > 0.0):
-            raise DomainError(f"sigma2 must be > 0, got {self.sigma2!r}")
+        _check_power(self.p_t)
+        _check_positive("p_e", self.p_e)
+        _check_positive("sigma2", self.sigma2)
 
     @property
     def a(self) -> float:
@@ -101,16 +145,11 @@ class BlocklengthPlan:
     epsilon: float
 
     def __post_init__(self) -> None:
-        if int(self.m) != self.m or self.m < 0:
-            raise DomainError(f"m must be a non-negative integer, got {self.m!r}")
-        if int(self.n) != self.n or self.n < 2:
-            raise DomainError(f"n must be an integer >= 2, got {self.n!r}")
-        if self.n % 2:
-            object.__setattr__(self, "n", int(self.n) + 1)
-        if not (0.0 <= self.epsilon < 1.0):
-            raise DomainError(f"epsilon must lie in [0, 1), got {self.epsilon!r}")
-        object.__setattr__(self, "m", int(self.m))
-        object.__setattr__(self, "n", int(self.n))
+        m = _check_count("m", self.m, 0)
+        n = _check_count("n", self.n, 2)
+        _check_epsilon(self.epsilon, zero_ok=True)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n + n % 2)
 
     @property
     def total(self) -> int:
@@ -140,13 +179,6 @@ class RateResult:
 # =============================================================================
 
 
-def _check_mn(m: float, n: float) -> None:
-    if int(m) != m or m < 1:
-        raise DomainError(f"harvest blocklength m must be an integer >= 1, got {m!r}")
-    if int(n) != n or n < 2 or int(n) % 2:
-        raise DomainError(f"transmit blocklength n must be an even integer >= 2, got {n!r}")
-
-
 def energy_supply_prob(m: int, n: int, a: float) -> float:
     """Probability that harvested energy covers the whole codeword.
 
@@ -158,9 +190,9 @@ def energy_supply_prob(m: int, n: int, a: float) -> float:
     Returns:
         (1 + 2a/m)^(-n/2), a value in (0, 1].
     """
-    _check_mn(m, n)
-    if not (a >= 0.0):
-        raise DomainError(f"power ratio a must be >= 0, got {a!r}")
+    _check_count("harvest blocklength m", m)
+    _check_even_n(n)
+    _check_ratio(a)
     return math.exp(-(n / 2.0) * math.log1p(2.0 * a / m))
 
 
@@ -186,7 +218,8 @@ def min_power_ratio(m: int, n: int, rho: float) -> float:
     Inverts the supply probability in ``a``: the returned ratio makes
     ``energy_supply_prob(m, n, a)`` equal rho exactly.
     """
-    _check_mn(m, n)
+    _check_count("harvest blocklength m", m)
+    _check_even_n(n)
     if not (0.0 < rho <= 1.0):
         raise DomainError(f"rho must lie in (0, 1], got {rho!r}")
     # rho^(-2/n) - 1 evaluated without cancellation.
@@ -195,10 +228,8 @@ def min_power_ratio(m: int, n: int, rho: float) -> float:
 
 def asymptotic_supply_limit(a: float, c: float) -> float:
     """Large-frame limit of the supply probability along m = c*n."""
-    if not (a >= 0.0):
-        raise DomainError(f"power ratio a must be >= 0, got {a!r}")
-    if not (c > 0.0):
-        raise DomainError(f"proportionality constant c must be > 0, got {c!r}")
+    _check_ratio(a)
+    _check_positive("proportionality constant c", c)
     return math.exp(-a / c)
 
 
@@ -210,12 +241,12 @@ def asymptotic_supply_limit(a: float, c: float) -> float:
 def transmit_floor(epsilon: float) -> float:
     """Real-valued lower limit on the transmit blocklength for error target.
 
-    Returns (ln((2+eps)/eps^2))^4. The operational (integer, even) floor is
+    Returns (ln((2+eps)/eps^2))^4, taken as a difference of logarithms so
+    that eps^2 cannot underflow. The operational (integer, even) floor is
     provided by the planner module.
     """
-    if not (0.0 < epsilon < 1.0):
-        raise DomainError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    return math.log((2.0 + epsilon) / (epsilon * epsilon)) ** 4
+    _check_epsilon(epsilon)
+    return (math.log(2.0 + epsilon) - 2.0 * math.log(epsilon)) ** 4
 
 
 def harvest_floor_real(n: float, a: float, epsilon: float) -> float:
@@ -223,17 +254,16 @@ def harvest_floor_real(n: float, a: float, epsilon: float) -> float:
 
     Smallest m (as a real number) for which a transmit phase of length ``n``
     is energy-feasible: 2a / ((1 + eps/2)^(2/n) - 1). Accepts real n so it
-    can also be evaluated at the real-valued transmit floor.
+    can also be evaluated at the real-valued transmit floor. Returns inf
+    where the floor leaves the double range.
     """
-    if not (n > 0.0):
-        raise DomainError(f"n must be > 0, got {n!r}")
-    if not (a >= 0.0):
-        raise DomainError(f"power ratio a must be >= 0, got {a!r}")
-    if not (0.0 < epsilon < 1.0):
-        raise DomainError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+    _check_positive("n", n)
+    _check_ratio(a)
+    _check_epsilon(epsilon)
     if a == 0.0:
         return 0.0
-    return 2.0 * a / math.expm1((2.0 / n) * math.log1p(0.5 * epsilon))
+    growth = math.expm1((2.0 / n) * math.log1p(0.5 * epsilon))
+    return 2.0 * a / growth if growth > 0.0 else math.inf
 
 
 def harvest_len_feasible_at_floor(m: float, a: float, epsilon: float) -> bool:
@@ -244,9 +274,11 @@ def harvest_len_feasible_at_floor(m: float, a: float, epsilon: float) -> bool:
 
 
 def transmit_len_within_energy_cap(n: float, m: float, a: float, epsilon: float) -> bool:
-    """n does not exceed the energy-limited cap 2 ln(1+eps/2)/ln(1+2a/m)."""
-    if not (0.0 < epsilon < 1.0):
-        raise DomainError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+    """n does not exceed the energy-limited cap 2 ln(1+eps/2)/ln(1+2a/m),
+    which is infinite at a = 0 (also for m = 0): the codeword needs no energy."""
+    _check_epsilon(epsilon)
+    if a == 0.0:
+        return True
     growth = math.log1p(2.0 * a / m)
     if growth == 0.0:
         return True
@@ -326,10 +358,8 @@ def capacity_prelog(a: float, epsilon: float) -> float:
     1 / (1 + a/ln(1+eps/2)), in [0, 1]. At epsilon = 0 the prelog is 1 for
     a = 0 and 0 otherwise (the overhead diverges).
     """
-    if not (a >= 0.0):
-        raise DomainError(f"power ratio a must be >= 0, got {a!r}")
-    if not (0.0 <= epsilon < 1.0):
-        raise DomainError(f"epsilon must lie in [0, 1), got {epsilon!r}")
+    _check_ratio(a)
+    _check_epsilon(epsilon, zero_ok=True)
     if epsilon == 0.0:
         return 1.0 if a == 0.0 else 0.0
     return 1.0 / (1.0 + a / math.log1p(0.5 * epsilon))
@@ -342,8 +372,7 @@ def asymptotic_rate(link: LinkParams, epsilon: float) -> float:
 
 def high_reliability_rate(link: LinkParams, epsilon: float) -> float:
     """Small-epsilon approximation of the asymptotic rate (nats/use)."""
-    if not (0.0 <= epsilon < 1.0):
-        raise DomainError(f"epsilon must lie in [0, 1), got {epsilon!r}")
+    _check_epsilon(epsilon, zero_ok=True)
     cap = 0.5 * math.log1p(link.gamma)
     if epsilon == 0.0:
         return cap if link.a == 0.0 else 0.0
@@ -356,16 +385,13 @@ def high_reliability_rate(link: LinkParams, epsilon: float) -> float:
 
 
 def _shifted_budget(p_e: float, sigma2: float, epsilon: float) -> float:
-    if not (p_e > 0.0) or not (sigma2 > 0.0):
-        raise DomainError("p_e and sigma2 must be > 0")
-    if not (0.0 < epsilon < 1.0):
-        raise DomainError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+    _check_positive("p_e", p_e)
+    _check_positive("sigma2", sigma2)
+    _check_epsilon(epsilon)
     return (p_e / sigma2) * math.log1p(0.5 * epsilon) - 1.0
 
 
-def optimal_power_asymptotic(
-    p_e: float, sigma2: float, epsilon: float, tol: RealTol | None = None
-) -> float:
+def optimal_power_asymptotic(p_e: float, sigma2: float, epsilon: float) -> float:
     """Transmit power maximizing the asymptotic rate.
 
     Solves the stationarity condition of the asymptotic rate in closed form:
@@ -376,24 +402,17 @@ def optimal_power_asymptotic(
     if t == 0.0:
         # Limit t -> 0 of t / W0(t/e) is e.
         return sigma2 * (math.e - 1.0)
-    w = lambert_w0(t * _INV_E, tol)
+    w = lambert_w0(t * _INV_E)
     return sigma2 * (t / w - 1.0)
 
 
-def optimal_power_slope(
-    p_e: float, sigma2: float, epsilon: float, tol: RealTol | None = None
-) -> float:
+def optimal_power_slope(p_e: float, sigma2: float, epsilon: float) -> float:
     """Derivative of the optimal transmit power with respect to p_e."""
     t = _shifted_budget(p_e, sigma2, epsilon)
-    return math.log1p(0.5 * epsilon) / (1.0 + lambert_w0(t * _INV_E, tol))
+    return math.log1p(0.5 * epsilon) / (1.0 + lambert_w0(t * _INV_E))
 
 
-def optimal_power_fbl(
-    epsilon: float,
-    p_e: float,
-    sigma2: float = 1.0,
-    tol: RealTol | None = None,
-) -> tuple[float, float]:
+def optimal_power_fbl(epsilon: float, p_e: float, sigma2: float = 1.0) -> tuple[float, float]:
     """Maximize the finite-blocklength rate over transmit power.
 
     For each candidate power the blocklengths are re-planned (minimal even
@@ -408,7 +427,6 @@ def optimal_power_fbl(
     Raises:
         SearchError: If the rate is zero over the whole bracket.
     """
-    tol = tol or RealTol(rel_tol=1e-10, max_iter=200)
     from . import planner  # deferred: planner builds on this module
 
     n = planner.min_transmit_blocklength(epsilon)
@@ -432,8 +450,8 @@ def optimal_power_fbl(
     x1 = b_x - _GOLDEN * (b_x - a_x)
     x2 = a_x + _GOLDEN * (b_x - a_x)
     f1, f2 = rate_at(math.exp(x1)), rate_at(math.exp(x2))
-    for _ in range(tol.max_iter):
-        if b_x - a_x <= tol.rel_tol * max(1.0, abs(a_x) + abs(b_x)):
+    for _ in range(_FBL_ITERS):
+        if b_x - a_x <= _FBL_XTOL * max(1.0, abs(a_x) + abs(b_x)):
             break
         if f1 < f2:
             a_x, x1, f1 = x1, x2, f2

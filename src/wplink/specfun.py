@@ -80,12 +80,14 @@ def _w0_initial_guess(x: float) -> float:
     return x / (1.0 + x) if x > -0.99 else -0.99
 
 
-def lambert_w0(x: float, tol: RealTol | None = None) -> float:
+def lambert_w0(x: float) -> float:
     """Principal branch W0 of the Lambert W function, w * exp(w) = x.
+
+    Halley's iteration stops on the defect, under the tolerance and within
+    the iteration cap of :data:`DEFAULT_TOL`.
 
     Args:
         x: Argument, must satisfy x >= -1/e.
-        tol: Convergence control; defaults to :data:`DEFAULT_TOL`.
 
     Returns:
         The real solution w >= -1.
@@ -94,7 +96,6 @@ def lambert_w0(x: float, tol: RealTol | None = None) -> float:
         DomainError: If x < -1/e (no real principal-branch value).
         ConvergenceError: If the Halley iteration fails to settle.
     """
-    tol = tol or DEFAULT_TOL
     if math.isnan(x):
         raise DomainError("lambert_w0: argument is NaN")
     if x < -_INV_E:
@@ -107,13 +108,13 @@ def lambert_w0(x: float, tol: RealTol | None = None) -> float:
 
     w = _w0_initial_guess(x)
     scale = max(1.0, abs(x))
-    for _ in range(tol.max_iter):
+    for _ in range(DEFAULT_TOL.max_iter):
         ew = math.exp(w)
         f = w * ew - x
         # Test the defect itself rather than the step size: near the branch
         # point the defect is well conditioned long before the step in w can
         # settle (there dw ~ eps / |w + 1|).
-        if abs(f) <= tol.rel_tol * scale:
+        if abs(f) <= DEFAULT_TOL.rel_tol * scale:
             return w
         wp1 = w + 1.0
         if wp1 == 0.0:

@@ -259,9 +259,13 @@ def test_usage_error_exit_2(capsys):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("value", ["inf", "nan", "2.5"])
+@pytest.mark.parametrize(
+    "value", ["inf", "nan", "2.5", "1" + "0" * 400], ids=["inf", "nan", "2.5", "1e400"]
+)
 def test_non_integer_count_is_usage_error(capsys, value):
-    # an infinite count used to escape as an OverflowError traceback
+    # an infinite count used to escape as an OverflowError traceback, and an
+    # integer beyond the double range reached exit 3 only through a
+    # catch-all for OverflowError
     with pytest.raises(SystemExit) as exc:
         main(["pes", "-m", value, "-n", "4", "-a", "0.1"])
     assert exc.value.code == 2
@@ -275,6 +279,92 @@ def test_infinite_power_is_domain_error(capsys):
     )
     assert code == 3
     assert err.startswith("error: p_t must be finite")
+
+
+def test_zero_harvested_power_is_domain_error(capsys):
+    # --pe 0 used to divide by zero while resolving the power point
+    code, _, err = run_cli(capsys, "rate", "--eps", "0.05", "--pe", "0", "--pt", "1")
+    assert code == 3
+    assert err == "error: p_e must be > 0, got 0.0\n"
+
+
+def test_rate_at_zero_power_needs_no_harvest(capsys):
+    code, out, _ = run_cli(capsys, "rate", "--eps", "0.05", "--pe", "100", "--pt", "0")
+    assert code == 0
+    assert rows(out)[1] == [["0", "2026", "0", "0", "0", "true"]]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pes", "-m", "2", "-n", "2", "-a", "1", "--config", "missing.cfg"],
+        ["pes", "-m", "2", "-n", "2", "-a", "1", "--out", "missing/pes.csv"],
+    ],
+    ids=["config", "out"],
+)
+def test_unusable_path_is_usage_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_config_count_uses_integer_rule(tmp_path, capsys):
+    # m = 2.5 used to run silently as m = 2
+    cfg = tmp_path / "link.cfg"
+    cfg.write_text("m = 2.5\nn = 2\na = 1.0\n")
+    code, out, err = run_cli(capsys, "pes", "--config", str(cfg))
+    assert code == 3
+    assert out == ""
+    assert "bad value for m" in err
+
+
+@pytest.mark.parametrize("spec", ["a:x:1:3", "a:0.1:1:5.0"])
+def test_malformed_sweep_names_the_sweep(capsys, spec):
+    code, _, err = run_cli(capsys, "pes", "-m", "100", "-n", "50", "--sweep", spec)
+    assert code == 3
+    assert err.startswith(f"error: sweep {spec!r}")
+
+
+# Each flag is set to each hostile value in turn on a valid base command.
+# Values go in as --flag=value, so that argparse reads -inf as a value.
+HOSTILE_BASES = {
+    "pes-single": ["pes", "-m", "100", "-n", "50", "-a", "0.1"],
+    "pes-multi": ["pes", "--mode", "multi", "-m", "100", "-n", "50", "--pt", "1",
+                  "--lambda", "1e-3", "--ppb", "1e3"],
+    "rate-single": ["rate", "--eps", "0.05", "--pe", "100", "--pt", "0.12"],
+    "rate-multi": ["rate", "--mode", "multi", "-n", "50", "--eps", "0.5", "--pt", "1",
+                   "--lambda", "1e-3", "--ppb", "1e3"],
+    "optpower": ["optpower", "--eps", "0.05", "--pe", "100"],
+    "plan-single": ["plan", "--eps", "0.05", "-a", "0.0012"],
+    "plan-multi": ["plan", "--mode", "multi", "--eps", "0.5", "--pt", "1",
+                   "--lambda", "1e-3", "--ppb", "1e3"],
+}
+HOSTILE_FLAGS = ["--pt", "--pe", "--sigma2", "--eps", "-m", "-n", "-a",
+                 "--lambda", "--ppb", "--mu", "--eta"]
+HOSTILE_VALUES = ["0", "-1", "inf", "-inf", "nan", "1e308", "1e-308", "1e-300", "1", "3"]
+
+
+@pytest.mark.parametrize("flag", HOSTILE_FLAGS)
+@pytest.mark.parametrize("base", HOSTILE_BASES)
+def test_hostile_flag_values_exit_cleanly(capsys, base, flag):
+    failures = []
+    for value in HOSTILE_VALUES:
+        argv = HOSTILE_BASES[base] + [f"{flag}={value}"]
+        try:
+            code, _, err = run_cli(capsys, *argv)
+        except SystemExit as exc:  # argparse: usage error
+            code, err = exc.code, capsys.readouterr().err
+        except Exception as exc:  # noqa: BLE001 - any escape is the failure
+            failures.append(f"{value}: {type(exc).__name__}: {exc}")
+            continue
+        lines = err.splitlines()
+        if code not in (0, 2, 3) or (
+            code == 3 and not (len(lines) == 1 and lines[0].startswith("error:"))
+        ):
+            failures.append(f"{value}: exit {code}, stderr {err!r}")
+    assert not failures, failures
 
 
 def test_inconsistent_powers_rejected(capsys):

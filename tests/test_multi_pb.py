@@ -96,6 +96,12 @@ def test_network_params_validation():
         NetworkParams(density=1e-3, p_pb=1e3, eta=2.0)
 
 
+def test_network_params_rejects_infinite_eta():
+    # eta = inf used to pass, and the radial functional then divided by sin(0)
+    with pytest.raises(DomainError, match="eta must be finite"):
+        NetworkParams(density=1e-3, p_pb=1e3, eta=math.inf)
+
+
 def test_laplace_derivs_container_enforces_alternation():
     d = LaplaceDerivs(s=1.0, values=(0.5, -0.3, 0.2))
     assert d.order == 2

@@ -62,6 +62,17 @@ def test_min_harvest_blocklength_zero_ratio():
     assert planner.min_harvest_blocklength(2026, 0.0, 0.05) == 0
 
 
+def test_min_harvest_blocklength_overflow_is_unsatisfiable():
+    # the real floor leaves the double range; ceil(inf) used to escape as
+    # OverflowError, and eps = 1e-300 as a ZeroDivisionError
+    for n, a, eps in ((2026, math.inf, 0.05), (2026, 1e308, 0.05), (2026, 0.1, 5e-324)):
+        with pytest.raises(UnsatisfiableError):
+            planner.min_harvest_blocklength(n, a, eps)
+    n = planner.min_transmit_blocklength(1e-300)
+    with pytest.raises(UnsatisfiableError):
+        planner.min_harvest_blocklength(n, 0.1, 1e-300)
+
+
 def test_min_harvest_blocklength_validation():
     with pytest.raises(DomainError):
         planner.min_harvest_blocklength(2025, 0.1, 0.05)  # odd
@@ -161,6 +172,15 @@ def test_min_harvest_mp_reuses_threshold(monkeypatch):
         plan = single_pb.BlocklengthPlan(m=m - 1, n=n, epsilon=eps)
         assert not multi_pb.achievable_rate_mp(plan, p_t, 1.0, NET_DENSE).feasible
     assert len(calls) == before
+
+
+def test_min_harvest_mp_target_rounding_to_one():
+    # 2/(2+eps) rounds to 1.0, so the threshold solve has no finite Newton
+    # goal (log1p(-1) used to raise ValueError); m is still the smallest
+    # whose supply probability reaches the target
+    m = planner.min_harvest_blocklength_mp(50, 1.0, NET, 1e-308)
+    assert multi_pb.energy_supply_prob_mp(m, 50, 1.0, NET) >= 1.0
+    assert multi_pb.energy_supply_prob_mp(m - 1, 50, 1.0, NET) < 1.0
 
 
 def test_min_harvest_mp_validation():

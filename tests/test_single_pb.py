@@ -3,10 +3,11 @@
 
 import math
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wplink import planner
+from wplink import montecarlo, multi_pb, planner
 from wplink.single_pb import (
     BlocklengthPlan,
     LinkParams,
@@ -58,6 +59,52 @@ def test_supply_prob_input_validation():
         energy_supply_prob(10, 3, 0.1)  # odd transmit length
     with pytest.raises(DomainError):
         energy_supply_prob(10, 4, -0.1)
+
+
+NET = multi_pb.NetworkParams(density=1e-3, p_pb=1e3)
+CFG = montecarlo.McConfig(trials=16)
+
+# Every entry point that takes a slot count, called with m = 10 and n = 4
+# unless one of them is replaced.
+COUNT_ENTRY_POINTS = {
+    "energy_supply_prob": lambda m, n: energy_supply_prob(m, n, 0.1),
+    "min_power_ratio": lambda m, n: min_power_ratio(m, n, 0.5),
+    "BlocklengthPlan": lambda m, n: BlocklengthPlan(m, n, 0.05),
+    "min_harvest_blocklength": lambda m, n: planner.min_harvest_blocklength(n, 0.1, 0.05),
+    "energy_supply_prob_mp": lambda m, n: multi_pb.energy_supply_prob_mp(m, n, 1.0, NET),
+    "min_harvest_blocklength_mp": lambda m, n: planner.min_harvest_blocklength_mp(
+        n, 1.0, NET, 0.05
+    ),
+    "estimate_supply_prob_single": lambda m, n: montecarlo.estimate_supply_prob_single(
+        m, n, 0.1, 1.0, CFG
+    ),
+    "check_prefix_equivalence": lambda m, n: montecarlo.check_prefix_equivalence(
+        m, n, 0.1, 1.0, CFG
+    ),
+    "estimate_supply_prob_mp": lambda m, n: montecarlo.estimate_supply_prob_mp(
+        m, n, 1.0, NET, CFG
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan, 2.5], ids=["inf", "nan", "2.5"])
+@pytest.mark.parametrize(
+    "entry, slot",
+    [
+        (entry, slot)
+        for entry in COUNT_ENTRY_POINTS
+        for slot in ("m", "n")
+        if slot == "n" or not entry.startswith("min_harvest")
+    ],
+)
+def test_count_rule_at_every_entry_point(entry, slot, value):
+    # inf used to escape as a bare OverflowError, NaN as a ValueError, and
+    # the Monte Carlo estimators took m = 2.5; a whole float is a count
+    # (n = 4.0 used to fail inside the series and the symbol draws)
+    counts = {"m": 10, "n": 4, slot: value}
+    COUNT_ENTRY_POINTS[entry](10.0, 4.0)
+    with pytest.raises(DomainError, match="must be an (even )?integer >="):
+        COUNT_ENTRY_POINTS[entry](counts["m"], counts["n"])
 
 
 @settings(max_examples=200, deadline=None)
@@ -127,6 +174,15 @@ def test_transmit_floor_value():
     assert 2026.0 < x < 2027.0
 
 
+def test_transmit_floor_is_finite_for_tiny_epsilon():
+    # eps^2 underflows to 0 below eps ~ 1e-162, where the floor used to
+    # divide by zero (and return inf a little above)
+    for eps in (1e-155, 1e-300, 5e-324):
+        exact = mp.log((2 + mp.mpf(eps)) / mp.mpf(eps) ** 2) ** 4
+        assert transmit_floor(eps) == pytest.approx(float(exact), rel=1e-14)
+        assert planner.min_transmit_blocklength(eps) % 2 == 0
+
+
 def test_harvest_floor_real_basics():
     assert harvest_floor_real(100.0, 0.0, 0.05) == 0.0
     m_floor = harvest_floor_real(2026.0, 0.5, 0.05)
@@ -135,6 +191,20 @@ def test_harvest_floor_real_basics():
     # the floor is exactly the boundary of the covering predicate
     assert harvest_len_covers_transmit(m_floor, 2026.0, 0.5, 0.05)
     assert not harvest_len_covers_transmit(m_floor * (1 - 1e-12), 2026.0, 0.5, 0.05)
+
+
+def test_harvest_floor_real_overflows_to_inf():
+    # (1 + eps/2)^(2/n) - 1 rounds to 0 at the smallest eps: no ZeroDivisionError
+    assert harvest_floor_real(2026.0, 0.1, 5e-324) == math.inf
+    assert harvest_floor_real(2026.0, 1e308, 0.05) == math.inf
+
+
+def test_energy_cap_holds_without_energy():
+    # with a = 0 the codeword needs no energy; m = 0 used to give 0/0
+    assert transmit_len_within_energy_cap(2026, 0, 0.0, 0.05)
+    assert transmit_len_within_energy_cap(1e9, 5, 0.0, 0.05)
+    res = achievable_rate_fbl(BlocklengthPlan(0, 2026, 0.05), LinkParams(p_t=0.0, p_e=100.0))
+    assert res.feasible and res.rate_nats == 0.0
 
 
 def test_constraint_forms_agree_on_operating_domain():
