@@ -23,6 +23,8 @@ import os
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import montecarlo, multi_pb, planner, single_pb
 from .specfun import ConvergenceError, DomainError
 
@@ -570,12 +572,18 @@ def cmd_figure(args) -> int:
 # -------------------------------------------------------------- validation
 
 
-def _band_check(name: str, analytic: float, est: montecarlo.McEstimate):
-    diff = abs(est.mean - analytic)
-    band = 3.0 * est.std_err
+def _band_check(name: str, analytic: float, mean: float, std_err: float):
+    diff = abs(mean - analytic)
+    band = 3.0 * std_err
     ok = diff <= band if band > 0.0 else diff == 0.0
-    detail = f"analytic {analytic:.6g}, mc {est.mean:.6g} +/- {est.std_err:.2g}"
+    detail = f"analytic {analytic:.6g}, mc {mean:.6g} +/- {std_err:.2g}"
     return name, ok, detail
+
+
+def _sample_mean(name: str, analytic: float, samples: np.ndarray):
+    """Band check of a sample mean, with the sample's standard error."""
+    std_err = float(samples.std(ddof=1)) / math.sqrt(samples.size)
+    return _band_check(name, analytic, float(samples.mean()), std_err)
 
 
 def cmd_validate(args) -> int:
@@ -586,45 +594,20 @@ def cmd_validate(args) -> int:
     checks = []
 
     est = montecarlo.estimate_supply_prob_single(100, 50, 0.1, 1.0, cfg)
-    checks.append(
-        _band_check("single_supply_vs_mc", single_pb.energy_supply_prob(100, 50, 0.1), est)
-    )
+    analytic = single_pb.energy_supply_prob(100, 50, 0.1)
+    checks.append(_band_check("single_supply_vs_mc", analytic, est.mean, est.std_err))
 
     pc, fc = montecarlo.check_prefix_equivalence(10, 20, 0.5, 1.0, cfg)
     checks.append(("prefix_equals_final", pc == fc, f"prefix={pc} final={fc}"))
 
     z = montecarlo.sample_ppp_energies(net, cfg, trials)
-    mean_ref = multi_pb.mean_harvested(net)
-    se = float(z.std(ddof=1)) / math.sqrt(trials)
-    diff = abs(float(z.mean()) - mean_ref)
-    checks.append(
-        (
-            "ppp_mean_vs_closed_form",
-            diff <= 3.0 * se,
-            f"analytic {mean_ref:.6g}, mc {float(z.mean()):.6g} +/- {se:.2g}",
-        )
-    )
-
+    checks.append(_sample_mean("ppp_mean_vs_closed_form", multi_pb.mean_harvested(net), z))
     s = 0.5
-    import numpy as np
-
-    damped = np.exp(-s * z)
-    lap_ref = multi_pb.laplace_z(s, net)
-    lap_se = float(damped.std(ddof=1)) / math.sqrt(trials)
-    checks.append(
-        (
-            "laplace_vs_mc",
-            abs(float(damped.mean()) - lap_ref) <= 3.0 * lap_se,
-            f"analytic {lap_ref:.6g}, mc {float(damped.mean()):.6g} +/- {lap_se:.2g}",
-        )
-    )
+    checks.append(_sample_mean("laplace_vs_mc", multi_pb.laplace_z(s, net), np.exp(-s * z)))
 
     est = montecarlo.estimate_supply_prob_mp(1500, 1000, 1.0, net, cfg)
-    checks.append(
-        _band_check(
-            "multi_supply_vs_mc", multi_pb.energy_supply_prob_mp(1500, 1000, 1.0, net), est
-        )
-    )
+    analytic = multi_pb.energy_supply_prob_mp(1500, 1000, 1.0, net)
+    checks.append(_band_check("multi_supply_vs_mc", analytic, est.mean, est.std_err))
 
     # The same product recurrence fed by the positive-argument 2F1 form: at
     # u = 1000 it shares no special-function code with laplace_derivs.

@@ -5,12 +5,14 @@ packets or a planar Poisson beacon field, and codeword energy as a sum of
 squared Gaussian symbols — so agreement with the analytic modules is
 evidence, not circularity.
 
-Determinism contract: draws come from counter-based Philox streams. Trials
-are processed in fixed blocks of :data:`BLOCK` trials; block ``b`` of seed
-``s`` uses the 128-bit key ``(s << 64) | b``, and within a block the draw
-order is fixed (energy variables first, then channel symbols in chunks of
-256). Estimates are therefore bit-identical for a given (seed, parameters)
-regardless of how blocks are scheduled.
+Determinism contract v1: draws come from counter-based Philox streams.
+Trials are processed in fixed blocks of :data:`BLOCK` trials; block ``b`` of
+seed ``s`` uses the 128-bit key ``(s << 64) | b``, and within a block the
+draw order is fixed (energy variables first, then channel symbols in chunks
+of 256). Estimates are therefore bit-identical for a given (seed,
+parameters) regardless of how blocks are scheduled. Every stream comes from
+one generator of blocks, :func:`_blocks`, and every codeword from
+:func:`_codeword_energies`.
 """
 
 from __future__ import annotations
@@ -31,13 +33,16 @@ __all__ = [
     "estimate_supply_prob_single",
     "check_prefix_equivalence",
     "truncation_radius",
-    "sample_ppp_energy",
     "sample_ppp_energies",
     "estimate_supply_prob_mp",
 ]
 
 BLOCK = 4096
 _SYMBOL_CHUNK = 256
+
+# For Poisson-field sampling, the admissible ratio of neglected far-field
+# mean energy to the total mean (see truncation_radius).
+_TRUNCATION_TAIL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -47,22 +52,15 @@ class McConfig:
     Attributes:
         trials: Number of independent trials (>= 1).
         seed: 64-bit unsigned stream identifier.
-        truncation_tail: For Poisson-field sampling, the admissible ratio of
-            neglected far-field mean energy to the total mean.
     """
 
     trials: int
     seed: int = 0
-    truncation_tail: float = 1e-4
 
     def __post_init__(self) -> None:
         _check_count("trials", self.trials)
         if not _check_count("seed", self.seed, 0) < 2 ** 64:
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if not (0.0 < self.truncation_tail < 1.0):
-            raise DomainError(
-                f"truncation_tail must lie in (0, 1), got {self.truncation_tail!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -75,23 +73,12 @@ class McEstimate:
     seed: int
 
 
-def _rng(seed: int, block: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=(seed << 64) | block))
-
-
-def _block_sizes(trials: int):
-    for start in range(0, trials, BLOCK):
-        yield start // BLOCK, min(BLOCK, trials - start)
-
-
-def _binomial_estimate(count: int, cfg: McConfig) -> McEstimate:
-    p = count / cfg.trials
-    return McEstimate(
-        mean=p,
-        std_err=math.sqrt(p * (1.0 - p) / cfg.trials),
-        trials=cfg.trials,
-        seed=cfg.seed,
-    )
+def _blocks(seed: int, trials: int):
+    """(generator, size) for each block of ``trials`` under the determinism
+    contract: block b of seed s draws from the Philox key (s << 64) | b."""
+    for block, start in enumerate(range(0, trials, BLOCK)):
+        rng = np.random.Generator(np.random.Philox(key=(seed << 64) | block))
+        yield rng, min(BLOCK, trials - start)
 
 
 def _check_frame(m: int, n: int, p_t: float) -> tuple[int, int]:
@@ -126,6 +113,27 @@ def _codeword_energies(
     return total, prefix_violated
 
 
+def _supply_estimate(m: int, n: int, p_t: float, cfg: McConfig, harvest) -> McEstimate:
+    """Fraction of trials in which ``m`` slots of harvested energy cover the
+    codeword, with its binomial standard error.
+
+    Per block, ``harvest(rng, size)`` draws the per-slot energies first;
+    the codeword symbols follow from the same stream.
+    """
+    count = 0
+    for rng, size in _blocks(cfg.seed, cfg.trials):
+        budget = m * harvest(rng, size)
+        total, _ = _codeword_energies(rng, size, n, p_t, None)
+        count += int((total <= budget).sum())
+    p = count / cfg.trials
+    return McEstimate(
+        mean=p,
+        std_err=math.sqrt(p * (1.0 - p) / cfg.trials),
+        trials=cfg.trials,
+        seed=cfg.seed,
+    )
+
+
 def estimate_supply_prob_single(
     m: int, n: int, p_t: float, p_e: float, cfg: McConfig
 ) -> McEstimate:
@@ -137,13 +145,9 @@ def estimate_supply_prob_single(
     """
     m, n = _check_frame(m, n, p_t)
     _check_positive("p_e", p_e)
-    count = 0
-    for block, size in _block_sizes(cfg.trials):
-        rng = _rng(cfg.seed, block)
-        budget = m * rng.exponential(scale=p_e, size=size)
-        total, _ = _codeword_energies(rng, size, n, p_t, None)
-        count += int((total <= budget).sum())
-    return _binomial_estimate(count, cfg)
+    return _supply_estimate(
+        m, n, p_t, cfg, lambda rng, size: rng.exponential(scale=p_e, size=size)
+    )
 
 
 def check_prefix_equivalence(
@@ -160,8 +164,7 @@ def check_prefix_equivalence(
     _check_positive("p_e", p_e)
     prefix_count = 0
     final_count = 0
-    for block, size in _block_sizes(cfg.trials):
-        rng = _rng(cfg.seed, block)
+    for rng, size in _blocks(cfg.seed, cfg.trials):
         budget = m * rng.exponential(scale=p_e, size=size)
         total, prefix_violated = _codeword_energies(rng, size, n, p_t, budget)
         prefix_count += int(prefix_violated.sum())
@@ -169,15 +172,16 @@ def check_prefix_equivalence(
     return prefix_count, final_count
 
 
-def truncation_radius(net: NetworkParams, truncation_tail: float) -> float:
+def truncation_radius(net: NetworkParams) -> float:
     """Sampling disk radius keeping the neglected far-field mean small.
 
     Beacons beyond radius R contribute mean energy
     2*pi*density*mu*p_pb*R^(2-eta)/(eta-2); requiring that to be at most
-    ``truncation_tail`` of the total mean gives R = (2/(eta*tail))^(1/(eta-2)),
-    independent of density and beacon power. Never below the unit disk.
+    :data:`_TRUNCATION_TAIL` of the total mean gives
+    R = (2/(eta*tail))^(1/(eta-2)), independent of density and beacon power.
+    Never below the unit disk.
     """
-    r = (2.0 / (net.eta * truncation_tail)) ** (1.0 / (net.eta - 2.0))
+    r = (2.0 / (net.eta * _TRUNCATION_TAIL)) ** (1.0 / (net.eta - 2.0))
     return max(r, 1.0)
 
 
@@ -210,21 +214,9 @@ def _ppp_block(rng: np.random.Generator, size: int, net: NetworkParams, radius: 
 def sample_ppp_energies(net: NetworkParams, cfg: McConfig, count: int) -> np.ndarray:
     """Batch of ``count`` per-slot harvested energy draws (deterministic)."""
     count = _check_count("count", count)
-    radius = truncation_radius(net, cfg.truncation_tail)
-    out = np.empty(count)
-    done = 0
-    block = 0
-    while done < count:
-        size = min(BLOCK, count - done)
-        out[done : done + size] = _ppp_block(_rng(cfg.seed, block), size, net, radius)
-        done += size
-        block += 1
-    return out
-
-
-def sample_ppp_energy(net: NetworkParams, cfg: McConfig) -> float:
-    """One per-slot harvested energy draw from the beacon field."""
-    return float(sample_ppp_energies(net, cfg, 1)[0])
+    radius = truncation_radius(net)
+    blocks = _blocks(cfg.seed, count)
+    return np.concatenate([_ppp_block(rng, size, net, radius) for rng, size in blocks])
 
 
 def estimate_supply_prob_mp(
@@ -236,11 +228,5 @@ def estimate_supply_prob_mp(
     slots, against a chi-squared(n) codeword energy at power ``p_t``.
     """
     m, n = _check_frame(m, n, p_t)
-    radius = truncation_radius(net, cfg.truncation_tail)
-    count = 0
-    for block, size in _block_sizes(cfg.trials):
-        rng = _rng(cfg.seed, block)
-        budget = m * _ppp_block(rng, size, net, radius)
-        total, _ = _codeword_energies(rng, size, n, p_t, None)
-        count += int((total <= budget).sum())
-    return _binomial_estimate(count, cfg)
+    radius = truncation_radius(net)
+    return _supply_estimate(m, n, p_t, cfg, lambda rng, size: _ppp_block(rng, size, net, radius))

@@ -70,7 +70,7 @@ class NetworkParams:
     """Poisson beacon field parameters.
 
     Attributes:
-        density: Beacon density (nodes per unit area), > 0.
+        density: Beacon density (nodes per unit area), finite and > 0.
         p_pb: Beacon transmit power (energy per channel use), > 0.
         mu: Rectifier efficiency, in (0, 1].
         eta: Path loss exponent, finite and > 2.
@@ -82,7 +82,8 @@ class NetworkParams:
     eta: float = 3.6
 
     def __post_init__(self) -> None:
-        _check_positive("density", self.density)
+        if not (0.0 < self.density < math.inf):
+            raise DomainError(f"density must be finite and > 0, got {self.density!r}")
         _check_positive("p_pb", self.p_pb)
         if not (0.0 < self.mu <= 1.0):
             raise DomainError(f"mu must lie in (0, 1], got {self.mu!r}")
@@ -262,7 +263,9 @@ def _series_coefficients(count: int, u: float, net: NetworkParams) -> np.ndarray
     w = u / (1.0 + u)
     log_w = math.log(u) - math.log1p(u)
     r = np.arange(1, count + 1, dtype=float)
-    with np.errstate(under="ignore"):
+    # A dense field can push c_r past the double range (pi*density = inf
+    # even makes 0 * inf = NaN); the callers reject non-finite results.
+    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
         near = r * np.exp(r * log_w) / (1.0 + u)
         radial = (
             (2.0 / net.eta)
@@ -271,7 +274,7 @@ def _series_coefficients(count: int, u: float, net: NetworkParams) -> np.ndarray
             * np.exp(betaln(1.0 + alpha, r - alpha))
             * betainc(r - alpha, 1.0 + alpha, w)
         )
-    return math.pi * net.density * (near + radial)
+        return math.pi * net.density * (near + radial)
 
 
 def _harvest_arg(m: int, p_t: float, net: NetworkParams) -> float:
@@ -297,14 +300,29 @@ def _outage_series(count: int, u: float, net: NetworkParams) -> tuple[float, flo
     divide and conquer over power-of-two blocks adds the left half's
     contribution to the right half's pending sums ``acc`` with one FFT
     product, and leaves of ``_LEAF`` terms run the direct loop, so the cost
-    is O(count log^2 count). Whenever a term below T_count passes 1e250,
-    every term so far and every pending sum is divided by it and the log
-    offset absorbs it. The sum then holds a term equal to 1, so exp(offset)
-    stays below the outage and cannot overflow.
+    is O(count log^2 count). Whenever a term below T_count passes the
+    rescale bound min(1e250, 1e300 / sum c_r), every term so far and every
+    pending sum is divided by it and the log offset absorbs it. A term is at
+    most the largest earlier one times sum c_r, so no term passes 1e300 and
+    no FFT product passes count * 1e300. The sum then holds a term equal to
+    1, so exp(offset) stays below the outage and cannot overflow.
+
+    Raises:
+        StabilityError: If sum c_r passes 1e300 (an extremely dense field),
+            beyond what the rescaled recurrence can carry.
     """
     size = 1 << count.bit_length()  # > count, so T_0..T_count all fit
     c = np.zeros(size)
     c[1 : count + 1] = _series_coefficients(count, u, net)
+    with np.errstate(over="ignore"):
+        c_sum = float(c.sum())
+    if not c_sum <= 1e300:  # also NaN
+        raise StabilityError(
+            f"outage series coefficients sum to {c_sum:.3g} at u={u!r}, beyond the"
+            " double range the rescaled series can carry"
+        )
+    # min(1e250, 1e300 / c_sum), at least 1 (1e300 / 1e50 is 1e250 exactly)
+    rescale = 1e300 / max(c_sum, 1e50)
     # c reversed, so that the leaf's dot products run on unit strides
     # (c[i-lo], ..., c[1] is c_rev[top-(i-lo) : top]), which halves their cost
     c_rev = c[::-1].copy()
@@ -321,7 +339,7 @@ def _outage_series(count: int, u: float, net: NetworkParams) -> tuple[float, flo
             for i in range(max(lo, 1), min(hi, count + 1)):
                 ti = (acc[i] + t[lo:i].dot(c_rev[top - (i - lo) : top])) / i
                 t[i] = ti
-                if ti > 1e250 and i < count:
+                if ti > rescale and i < count:
                     t[: i + 1] /= ti
                     acc[i + 1 :] /= ti
                     offset += math.log(ti)
@@ -348,8 +366,9 @@ def _supply_and_slope(count: int, u: float, net: NetworkParams) -> tuple[float, 
     The supply probability is the value :func:`energy_supply_prob_mp` returns.
 
     Raises:
-        StabilityError: If the accumulated outage leaves [0, 1] beyond
-            tolerance.
+        StabilityError: If the series coefficients leave the double range
+            (an extremely dense field), or the accumulated outage leaves
+            [0, 1] beyond tolerance.
     """
     if u == 0.0:
         # Underflowed argument: no harvested energy, so certain outage.
@@ -363,7 +382,7 @@ def _supply_and_slope(count: int, u: float, net: NetworkParams) -> tuple[float, 
     # offset + ln(total) would add an absolute error of up to |offset|*2^-53.
     # Where exp(offset) underflows, the outage is below exp(-150).
     outage = math.exp(offset) * total
-    if outage > 1.0 + _SIGN_SLACK:
+    if not outage <= 1.0 + _SIGN_SLACK:  # also NaN
         raise StabilityError(f"outage series left [0, 1]: {outage!r}")
     return max(0.0, 1.0 - outage), offset + math.log(total), -count * t_last / total
 
@@ -383,8 +402,9 @@ def energy_supply_prob_mp(m: int, n: int, p_t: float, net: NetworkParams) -> flo
     Raises:
         DomainError: m < 1, odd n, n/2 beyond the series cap, or a
             negative or non-finite p_t.
-        StabilityError: If the accumulated outage leaves [0, 1] beyond
-            tolerance.
+        StabilityError: If the series coefficients leave the double range
+            (an extremely dense field), or the accumulated outage leaves
+            [0, 1] beyond tolerance.
     """
     _check_supply_args(m, n, p_t)
     if p_t == 0.0:
@@ -415,12 +435,4 @@ def achievable_rate_mp(
         feasible = plan.n >= planner.min_transmit_blocklength(plan.epsilon) and (
             planner._meets_supply_target(plan.m, plan.n, p_t, net, plan.epsilon)
         )
-    clamped = raw < 0.0
-    rate = 0.0 if clamped else raw
-    return single_pb.RateResult(
-        rate_nats=rate,
-        rate_bits=rate / math.log(2.0),
-        feasible=feasible,
-        clamped=clamped,
-        raw_rate_nats=raw,
-    )
+    return single_pb._rate_result(raw, feasible)

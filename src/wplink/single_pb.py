@@ -151,11 +151,6 @@ class BlocklengthPlan:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n + n % 2)
 
-    @property
-    def total(self) -> int:
-        """Frame length: harvest slots plus transmit slots."""
-        return self.m + self.n
-
 
 @dataclass(frozen=True)
 class RateResult:
@@ -275,10 +270,13 @@ def harvest_len_feasible_at_floor(m: float, a: float, epsilon: float) -> bool:
 
 def transmit_len_within_energy_cap(n: float, m: float, a: float, epsilon: float) -> bool:
     """n does not exceed the energy-limited cap 2 ln(1+eps/2)/ln(1+2a/m),
-    which is infinite at a = 0 (also for m = 0): the codeword needs no energy."""
+    which is infinite at a = 0 (also for m = 0): the codeword needs no energy.
+    For a > 0 and m = 0 nothing is harvested, and the cap is 0."""
     _check_epsilon(epsilon)
     if a == 0.0:
         return True
+    if m == 0.0:
+        return n <= 0.0
     growth = math.log1p(2.0 * a / m)
     if growth == 0.0:
         return True
@@ -328,6 +326,19 @@ def _raw_rate_nats(m: int, n: int, gamma: float, epsilon: float) -> float:
     return numer / (n + m)
 
 
+def _rate_result(raw: float, feasible: bool) -> RateResult:
+    """The rate result of a raw bound value, clamped at zero."""
+    clamped = raw < 0.0
+    rate = 0.0 if clamped else raw
+    return RateResult(
+        rate_nats=rate,
+        rate_bits=rate / _LN2,
+        feasible=feasible,
+        clamped=clamped,
+        raw_rate_nats=raw,
+    )
+
+
 def achievable_rate_fbl(plan: BlocklengthPlan, link: LinkParams) -> RateResult:
     """Finite-blocklength achievable rate for a single-beacon link.
 
@@ -340,16 +351,7 @@ def achievable_rate_fbl(plan: BlocklengthPlan, link: LinkParams) -> RateResult:
         energy constraints, and the raw (possibly negative) bound value.
     """
     raw = _raw_rate_nats(plan.m, plan.n, link.gamma, plan.epsilon)
-    feasible = _operational_feasible(plan.m, plan.n, link.a, plan.epsilon)
-    clamped = raw < 0.0
-    rate = 0.0 if clamped else raw
-    return RateResult(
-        rate_nats=rate,
-        rate_bits=rate / _LN2,
-        feasible=feasible,
-        clamped=clamped,
-        raw_rate_nats=raw,
-    )
+    return _rate_result(raw, _operational_feasible(plan.m, plan.n, link.a, plan.epsilon))
 
 
 def capacity_prelog(a: float, epsilon: float) -> float:

@@ -13,11 +13,8 @@ Provided:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
-    "RealTol",
-    "DEFAULT_TOL",
     "DomainError",
     "ConvergenceError",
     "lambert_w0",
@@ -33,28 +30,11 @@ class ConvergenceError(ArithmeticError):
     """Raised when an iteration or series fails to meet its tolerance."""
 
 
-@dataclass(frozen=True)
-class RealTol:
-    """Convergence control for iterative scalar routines.
-
-    Attributes:
-        rel_tol: Relative tolerance used in stopping tests. Iterations stop
-            when the latest correction (or series term) is at most
-            ``rel_tol`` times the magnitude of the accumulated result.
-        max_iter: Hard cap on iterations/terms before ``ConvergenceError``.
-    """
-
-    rel_tol: float = 1e-12
-    max_iter: int = 100_000
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.rel_tol < 1.0) or not math.isfinite(self.rel_tol):
-            raise DomainError(f"rel_tol must be in (0, 1), got {self.rel_tol!r}")
-        if self.max_iter < 1:
-            raise DomainError(f"max_iter must be >= 1, got {self.max_iter!r}")
-
-
-DEFAULT_TOL = RealTol()
+# Stopping rule of the iterative routines: the relative tolerance of the
+# stopping test (lambert_w0's defect, the 2F1 series' tail bound) and the cap
+# on iterations or terms before ConvergenceError.
+_REL_TOL = 1e-12
+_MAX_ITER = 100_000
 
 _INV_E = math.exp(-1.0)
 
@@ -83,8 +63,8 @@ def _w0_initial_guess(x: float) -> float:
 def lambert_w0(x: float) -> float:
     """Principal branch W0 of the Lambert W function, w * exp(w) = x.
 
-    Halley's iteration stops on the defect, under the tolerance and within
-    the iteration cap of :data:`DEFAULT_TOL`.
+    Halley's iteration stops once the defect is at most 1e-12 times
+    max(1, |x|), within 100 000 iterations.
 
     Args:
         x: Argument, must satisfy x >= -1/e.
@@ -108,13 +88,13 @@ def lambert_w0(x: float) -> float:
 
     w = _w0_initial_guess(x)
     scale = max(1.0, abs(x))
-    for _ in range(DEFAULT_TOL.max_iter):
+    for _ in range(_MAX_ITER):
         ew = math.exp(w)
         f = w * ew - x
         # Test the defect itself rather than the step size: near the branch
         # point the defect is well conditioned long before the step in w can
         # settle (there dw ~ eps / |w + 1|).
-        if abs(f) <= DEFAULT_TOL.rel_tol * scale:
+        if abs(f) <= _REL_TOL * scale:
             return w
         wp1 = w + 1.0
         if wp1 == 0.0:
@@ -135,11 +115,11 @@ def lambert_w0(x: float) -> float:
 # =============================================================================
 
 
-def _hyp_series(a: float, b: float, c: float, z: float, tol: RealTol) -> float:
+def _hyp_series(a: float, b: float, c: float, z: float) -> float:
     """Plain power series for 2F1(a, b; c; z), |z| < 1."""
     term = 1.0
     total = 1.0
-    for k in range(tol.max_iter):
+    for k in range(_MAX_ITER):
         prev = abs(term)
         term *= (a + k) * (b + k) / ((c + k) * (1.0 + k)) * z
         total += term
@@ -150,31 +130,30 @@ def _hyp_series(a: float, b: float, c: float, z: float, tol: RealTol) -> float:
         ratio = abs(term) / prev if prev > 0.0 else 1.0
         if ratio < 1.0:
             tail = abs(term) * ratio / (1.0 - ratio)
-            if tail <= tol.rel_tol * abs(total):
+            if tail <= _REL_TOL * abs(total):
                 return total
     raise ConvergenceError(
         f"gauss_2f1: series for ({a}, {b}; {c}; {z}) did not converge"
     )
 
 
-def gauss_2f1(a: float, b: float, c: float, z: float, tol: RealTol | None = None) -> float:
+def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
     """Gauss hypergeometric function 2F1(a, b; c; z) for real arguments.
 
     Evaluated by the defining power series. Negative arguments are first
     mapped into [0, 1) with the Pfaff transformation
     2F1(a, b; c; z) = (1-z)^(-a) 2F1(a, c-b; c; z/(z-1)), which keeps every
     series term positive for the parameter families used in this package.
+    The series stops once its tail bound is at most 1e-12 of the sum.
 
     Args:
         a, b, c: Parameters; c must not be zero or a negative integer.
         z: Argument, must satisfy z < 1.
-        tol: Convergence control; defaults to :data:`DEFAULT_TOL`.
 
     Raises:
         DomainError: If c is a non-positive integer or z >= 1.
-        ConvergenceError: If the series needs more than ``tol.max_iter`` terms.
+        ConvergenceError: If the series needs more than 100 000 terms.
     """
-    tol = tol or DEFAULT_TOL
     if c <= 0.0 and c == math.floor(c):
         raise DomainError(f"gauss_2f1: c={c!r} is a non-positive integer")
     if not (z < 1.0):
@@ -183,6 +162,6 @@ def gauss_2f1(a: float, b: float, c: float, z: float, tol: RealTol | None = None
         return 1.0
     if z < 0.0:
         w = z / (z - 1.0)  # in (0, 1)
-        return (1.0 - z) ** (-a) * _hyp_series(a, c - b, c, w, tol)
-    return _hyp_series(a, b, c, z, tol)
+        return (1.0 - z) ** (-a) * _hyp_series(a, c - b, c, w)
+    return _hyp_series(a, b, c, z)
 

@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from wplink import montecarlo, multi_pb, planner, single_pb
+import wplink
+from wplink import montecarlo, multi_pb, planner, single_pb, specfun
 
 PE_REF = 1e3
 
@@ -289,3 +290,13 @@ def test_limit_laws_prefix_final_counts():
     cfg = montecarlo.McConfig(trials=100_000, seed=0)
     prefix_bad, final_bad = montecarlo.check_prefix_equivalence(10, 20, 0.5, 1.0, cfg)
     assert prefix_bad == final_bad
+
+
+# ----------------------------------------------------------------
+# Public surface
+
+
+@pytest.mark.parametrize("module", [wplink, montecarlo, multi_pb, planner, single_pb, specfun])
+def test_every_exported_name_is_bound(module):
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert not missing, missing

@@ -367,6 +367,14 @@ def test_hostile_flag_values_exit_cleanly(capsys, base, flag):
     assert not failures, failures
 
 
+def test_dense_field_is_certain_supply(capsys):
+    dense = ["--mode", "multi", "--pt", "1", "--lambda", "1e100", "--ppb", "1e3"]
+    code, out, _ = run_cli(capsys, "pes", "-m", "100", "-n", "50", *dense)
+    assert code == 0 and rows(out)[1] == [["100", "50", "1", "1"]]
+    code, out, _ = run_cli(capsys, "plan", "--eps", "0.5", *dense)
+    assert code == 0 and rows(out)[1][0][1] == "1"
+
+
 def test_inconsistent_powers_rejected(capsys):
     code, _, err = run_cli(
         capsys, "pes", "-m", "2", "-n", "2", "-a", "1.0", "--pt", "3", "--pe", "1"

@@ -102,6 +102,12 @@ def test_network_params_rejects_infinite_eta():
         NetworkParams(density=1e-3, p_pb=1e3, eta=math.inf)
 
 
+def test_network_params_rejects_non_finite_density():
+    for density in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="density must be finite"):
+            NetworkParams(density=density, p_pb=1e3)
+
+
 def test_laplace_derivs_container_enforces_alternation():
     d = LaplaceDerivs(s=1.0, values=(0.5, -0.3, 0.2))
     assert d.order == 2
@@ -391,6 +397,20 @@ def test_supply_mp_rejects_non_finite_power():
 def test_supply_mp_extreme_scale_saturates():
     # an astronomically long harvest phase cannot fail to cover two slots
     assert energy_supply_prob_mp(10**12, 2, 1e-9, NET) == 1.0
+
+
+@pytest.mark.parametrize("density", [1e100, 1e200, 1e250])
+def test_supply_mp_dense_field_is_certain(density):
+    # c_r grow like the density; a fixed 1e250 rescale bound let one step of
+    # the recurrence overflow, and the outage turned into NaN and then pes 0
+    dense = NetworkParams(density=density, p_pb=1e3)
+    assert energy_supply_prob_mp(100, 50, 1.0, dense) == 1.0
+    assert energy_supply_prob_mp(100, 2000, 1.0, dense) == 1.0
+
+
+def test_supply_mp_rejects_coefficients_beyond_double_range():
+    with pytest.raises(multi_pb.StabilityError, match="double range"):
+        energy_supply_prob_mp(100, 50, 1.0, NetworkParams(density=1e308, p_pb=1e3))
 
 
 # ----------------------------------------------------------------

@@ -207,6 +207,12 @@ def test_energy_cap_holds_without_energy():
     assert res.feasible and res.rate_nats == 0.0
 
 
+def test_energy_cap_is_zero_without_harvest():
+    # with a > 0 and m = 0 nothing is harvested; 2a/m used to divide by zero
+    assert not transmit_len_within_energy_cap(2, 0, 0.1, 0.05)
+    assert not transmit_len_within_energy_cap(2026, 0.0, 1e-300, 0.05)
+
+
 def test_constraint_forms_agree_on_operating_domain():
     # On n >= transmit floor the two published constraint pairs coincide.
     eps = 0.05

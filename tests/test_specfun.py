@@ -7,10 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from wplink.multi_pb import NetworkParams, _ladder, laplace_derivs
 from wplink.specfun import (
-    DEFAULT_TOL,
     ConvergenceError,
     DomainError,
-    RealTol,
     gauss_2f1,
     lambert_w0,
 )
@@ -49,13 +47,6 @@ def test_lambert_domain_errors():
         lambert_w0(float("nan"))
 
 
-def test_lambert_rejects_bad_tolerance():
-    with pytest.raises(DomainError):
-        RealTol(rel_tol=0.0, max_iter=100)
-    with pytest.raises(DomainError):
-        RealTol(rel_tol=1e-12, max_iter=0)
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     st.one_of(
@@ -66,7 +57,7 @@ def test_lambert_rejects_bad_tolerance():
 def test_lambert_defining_identity(x):
     w = lambert_w0(x)
     assert w >= -1.0
-    assert abs(w * math.exp(w) - x) <= DEFAULT_TOL.rel_tol * max(1.0, abs(x))
+    assert abs(w * math.exp(w) - x) <= 1e-12 * max(1.0, abs(x))
 
 
 # ----------------------------------------------------------------
@@ -93,11 +84,10 @@ def test_hyp_reference_value():
 def test_hyp_direct_vs_pfaff_routes():
     # For z in (-1, 0) the raw series converges too, so both evaluation
     # routes are available; they must agree closely.
-    tol = RealTol(rel_tol=1e-14, max_iter=200_000)
     for z in (-0.05, -0.3, -0.6, -0.95):
         a, b, c = 0.8, 1.0 - 2.0 / 3.6, 2.0 - 2.0 / 3.6
         direct = sum_series(a, b, c, z)
-        assert gauss_2f1(a, b, c, z, tol) == pytest.approx(direct, rel=1e-10)
+        assert gauss_2f1(a, b, c, z) == pytest.approx(direct, rel=1e-10)
 
 
 def sum_series(a, b, c, z, terms=400):
