@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import montecarlo, multi_pb, planner, single_pb
-from .specfun import ConvergenceError, DomainError
+from .single_pb import DomainError
 
 _LN2 = math.log(2.0)
 
@@ -34,7 +34,6 @@ _LN2 = math.log(2.0)
 # defect in the package and keeps its traceback.
 _LIB_ERRORS = (
     DomainError,
-    ConvergenceError,
     multi_pb.StabilityError,
     planner.UnsatisfiableError,
     single_pb.SearchError,
@@ -278,21 +277,21 @@ def _pes_point(ns) -> tuple[list, list]:
         a, p_t, p_e = _resolve_single(ns)
         lead = [ns.m, ns.n, a]
         cells = [single_pb.energy_supply_prob(ns.m, ns.n, a)]
-        if ns.mc_trials:
+        if ns.mc_trials is not None:
             est = montecarlo.estimate_supply_prob_single(ns.m, ns.n, p_t, p_e, _mc_cfg(ns))
     else:
         p_t, net = _resolve_multi(ns)
         lead = [ns.m, ns.n, p_t]
         cells = [multi_pb.energy_supply_prob_mp(ns.m, ns.n, p_t, net)]
-        if ns.mc_trials:
+        if ns.mc_trials is not None:
             est = montecarlo.estimate_supply_prob_mp(ns.m, ns.n, p_t, net, _mc_cfg(ns))
-    if ns.mc_trials:
+    if ns.mc_trials is not None:
         cells += [est.mean, est.std_err]
     return lead, cells
 
 
 def cmd_pes(args) -> int:
-    mc = ["pes_mc", "pes_mc_stderr"] if args.mc_trials else []
+    mc = ["pes_mc", "pes_mc_stderr"] if args.mc_trials is not None else []
     return _run(args, _pes_point, ["m", "n", _power_column(args)], ["pes"] + mc)
 
 
@@ -587,7 +586,8 @@ def _sample_mean(name: str, analytic: float, samples: np.ndarray):
 
 
 def cmd_validate(args) -> int:
-    trials = args.mc_trials if args.mc_trials else 20_000
+    # The band checks take a sample standard deviation, which needs 2 trials.
+    trials = 20_000 if args.mc_trials is None else single_pb._check_count("trials", args.mc_trials, 2)
     cfg = montecarlo.McConfig(trials=trials, seed=args.seed)
     net = multi_pb.NetworkParams(density=1e-3, p_pb=1e3)
     net_dense = multi_pb.NetworkParams(density=5e-3, p_pb=1e3)

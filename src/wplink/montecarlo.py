@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .multi_pb import NetworkParams
-from .single_pb import _check_count, _check_positive, _check_power
-from .specfun import DomainError
+from .single_pb import DomainError, _check_count, _check_positive, _check_power
 
 __all__ = [
     "BLOCK",

@@ -24,11 +24,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, betaincc, betaln
+from scipy.special import betainc, betaincc, betaln, hyp2f1
 
 from . import single_pb
-from .single_pb import _check_count, _check_even_n, _check_positive, _check_power
-from .specfun import DomainError, gauss_2f1
+from .single_pb import DomainError, _check_count, _check_even_n, _check_positive, _check_power
 
 __all__ = [
     "NetworkParams",
@@ -196,9 +195,9 @@ def _g_derivs_hyp(s: float, order: int, net: NetworkParams) -> list[float]:
     2F1(r+1, 1; r+1-alpha; w), so with the near-field term
     g^(r)(s) = (-1)^r pi density r! b^r (1+u)^(-r-1)
     [1 + alpha/(r-alpha) 2F1(r+1, 1; r+1-alpha; w)], b = p_pb*mu.
-    The series terms are positive and shrink like w^j: cheap for small w,
-    about 1/(1-w) terms as w -> 1. It shares no special-function code with
-    :func:`_g_derivs` above u = 1, which makes it the audit route there.
+    SciPy's ``hyp2f1`` evaluates it for any w in [0, 1). It shares no
+    special-function code with :func:`_g_derivs` above u = 1, which makes
+    it the audit route there.
     """
     alpha = 2.0 / net.eta
     b = net.p_pb * net.mu
@@ -208,7 +207,7 @@ def _g_derivs_hyp(s: float, order: int, net: NetworkParams) -> list[float]:
     scale = math.pi * net.density / (1.0 + u)
     for r in range(1, order + 1):
         scale *= -r * b / (1.0 + u)  # (-1)^r pi density r! b^r (1+u)^(-r-1)
-        hyp = gauss_2f1(r + 1.0, 1.0, r + 1.0 - alpha, w)
+        hyp = float(hyp2f1(r + 1.0, 1.0, r + 1.0 - alpha, w))
         out.append(scale * (1.0 + alpha / (r - alpha) * hyp))
     return out
 
@@ -232,8 +231,8 @@ def laplace_derivs(s: float, order: int, net: NetworkParams) -> LaplaceDerivs:
     With L = exp(g), successive derivatives obey
     L^(i) = sum_j C(i-1, j) g^(i-j) L^(j), which needs only the derivatives
     of g; those come from the same incomplete-beta closed form as the
-    outage-series coefficients (for u = p_pb*mu*s <= 1, from a short
-    positive-argument 2F1 series instead).
+    outage-series coefficients (for u = p_pb*mu*s <= 1, from the
+    positive-argument 2F1 form instead).
 
     Raises:
         DomainError: If ``order`` is not an integer in [0, 64] (the

@@ -15,9 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .specfun import DomainError, lambert_w0
+from scipy.special import lambertw
 
 __all__ = [
+    "DomainError",
     "LinkParams",
     "BlocklengthPlan",
     "RateResult",
@@ -44,11 +45,18 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _INV_E = math.exp(-1.0)
+# Below this power budget the optimum takes 1 + W0 from its branch-point
+# series, whose first omitted term is below 2e-11 relative there.
+_BRANCH_BUDGET = 1e-5
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 # Stopping rule of optimal_power_fbl's golden-section search in ln(p_t).
 _FBL_XTOL = 1e-10
 _FBL_ITERS = 200
+
+
+class DomainError(ValueError):
+    """Raised when an input lies outside a function's mathematical domain."""
 
 
 class SearchError(RuntimeError):
@@ -386,11 +394,36 @@ def high_reliability_rate(link: LinkParams, epsilon: float) -> float:
 # =============================================================================
 
 
-def _shifted_budget(p_e: float, sigma2: float, epsilon: float) -> float:
+def _optimum(p_e: float, sigma2: float, epsilon: float) -> tuple[float, float]:
+    """(p*/sigma2, delta) of the asymptotic rate's stationarity condition.
+
+    With the budget b = (p_e/sigma2) ln(1+eps/2), t = b - 1 and
+    delta = 1 + W0(t/e), the optimum is p*/sigma2 = t/W0(t/e) - 1, which is
+    (delta - b)/(1 - delta). As b -> 0 the argument t/e nears the branch
+    point -1/e and t/W0 - 1 cancels, so there delta comes from the series
+    p - p^2/3 + 11p^3/72 - 43p^4/540 in p = sqrt(2b) and the optimum from
+    the second form.
+    """
     _check_positive("p_e", p_e)
     _check_positive("sigma2", sigma2)
     _check_epsilon(epsilon)
-    return (p_e / sigma2) * math.log1p(0.5 * epsilon) - 1.0
+    b = (p_e / sigma2) * math.log1p(0.5 * epsilon)
+    # An infinite p_e or sigma2 makes b inf, 0 or NaN, so this covers them too.
+    if not (0.0 < b < math.inf):
+        raise DomainError(
+            f"power budget (p_e/sigma2) ln(1+eps/2) must be finite and > 0, "
+            f"got {b!r} from p_e={p_e!r}, sigma2={sigma2!r}"
+        )
+    if b < _BRANCH_BUDGET:
+        p = math.sqrt(2.0 * b)
+        delta = p * (1.0 - p * (1.0 / 3.0 - p * (11.0 / 72.0 - p * 43.0 / 540.0)))
+        return (delta - b) / (1.0 - delta), delta
+    t = b - 1.0
+    if t == 0.0:
+        # Limit t -> 0 of t / W0(t/e) is e.
+        return math.e - 1.0, 1.0
+    w = float(lambertw(t * _INV_E).real)
+    return t / w - 1.0, 1.0 + w
 
 
 def optimal_power_asymptotic(p_e: float, sigma2: float, epsilon: float) -> float:
@@ -399,19 +432,19 @@ def optimal_power_asymptotic(p_e: float, sigma2: float, epsilon: float) -> float
     Solves the stationarity condition of the asymptotic rate in closed form:
     with t = (p_e/sigma2) ln(1+eps/2) - 1, the maximizer is
     sigma2 * (t / W0(t/e) - 1).
+
+    Raises:
+        DomainError: p_e or sigma2 not positive and finite, eps outside
+            (0, 1), or a budget (p_e/sigma2) ln(1+eps/2) that leaves the
+            double range.
     """
-    t = _shifted_budget(p_e, sigma2, epsilon)
-    if t == 0.0:
-        # Limit t -> 0 of t / W0(t/e) is e.
-        return sigma2 * (math.e - 1.0)
-    w = lambert_w0(t * _INV_E)
-    return sigma2 * (t / w - 1.0)
+    return sigma2 * _optimum(p_e, sigma2, epsilon)[0]
 
 
 def optimal_power_slope(p_e: float, sigma2: float, epsilon: float) -> float:
-    """Derivative of the optimal transmit power with respect to p_e."""
-    t = _shifted_budget(p_e, sigma2, epsilon)
-    return math.log1p(0.5 * epsilon) / (1.0 + lambert_w0(t * _INV_E))
+    """Derivative of the optimal transmit power with respect to p_e:
+    ln(1+eps/2) / (1 + W0(t/e)). Raises as :func:`optimal_power_asymptotic`."""
+    return math.log1p(0.5 * epsilon) / _optimum(p_e, sigma2, epsilon)[1]
 
 
 def optimal_power_fbl(epsilon: float, p_e: float, sigma2: float = 1.0) -> tuple[float, float]:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import wplink
-from wplink import montecarlo, multi_pb, planner, single_pb, specfun
+from wplink import montecarlo, multi_pb, planner, single_pb
 
 PE_REF = 1e3
 
@@ -296,7 +296,7 @@ def test_limit_laws_prefix_final_counts():
 # Public surface
 
 
-@pytest.mark.parametrize("module", [wplink, montecarlo, multi_pb, planner, single_pb, specfun])
+@pytest.mark.parametrize("module", [wplink, montecarlo, multi_pb, planner, single_pb])
 def test_every_exported_name_is_bound(module):
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert not missing, missing

@@ -288,6 +288,27 @@ def test_zero_harvested_power_is_domain_error(capsys):
     assert err == "error: p_e must be > 0, got 0.0\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["optpower", "--eps", "0.5", "--pe", "inf"], "power budget"),
+        (["optpower", "--eps", "0.5", "--pe", "1e300", "--sigma2", "1e-300"], "power budget"),
+        (["validate", "--mc-trials", "1"], "trials must be an integer >= 2"),
+        (["validate", "--mc-trials", "0"], "trials must be an integer >= 2"),
+        (["pes", "-m", "100", "-n", "50", "-a", "0.1", "--mc-trials", "0"],
+         "trials must be an integer >= 1"),
+    ],
+    ids=["optpower-pe-inf", "optpower-budget-overflow", "validate-1-trial",
+         "validate-0-trials", "pes-0-trials"],
+)
+def test_out_of_range_input_is_one_error_line(capsys, argv, message):
+    # these printed nan, ran 20 000 trials or dropped the MC columns
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {message}")
+
+
 def test_rate_at_zero_power_needs_no_harvest(capsys):
     code, out, _ = run_cli(capsys, "rate", "--eps", "0.05", "--pe", "100", "--pt", "0")
     assert code == 0
@@ -353,9 +374,9 @@ def test_hostile_flag_values_exit_cleanly(capsys, base, flag):
     for value in HOSTILE_VALUES:
         argv = HOSTILE_BASES[base] + [f"{flag}={value}"]
         try:
-            code, _, err = run_cli(capsys, *argv)
+            code, out, err = run_cli(capsys, *argv)
         except SystemExit as exc:  # argparse: usage error
-            code, err = exc.code, capsys.readouterr().err
+            code, out, err = exc.code, "", capsys.readouterr().err
         except Exception as exc:  # noqa: BLE001 - any escape is the failure
             failures.append(f"{value}: {type(exc).__name__}: {exc}")
             continue
@@ -364,6 +385,8 @@ def test_hostile_flag_values_exit_cleanly(capsys, base, flag):
             code == 3 and not (len(lines) == 1 and lines[0].startswith("error:"))
         ):
             failures.append(f"{value}: exit {code}, stderr {err!r}")
+        elif code == 0 and any("nan" in cell.lower() for row in rows(out)[1] for cell in row):
+            failures.append(f"{value}: exit 0 with a NaN cell in {out!r}")
     assert not failures, failures
 
 

@@ -17,7 +17,7 @@ from wplink.montecarlo import (
 )
 from wplink.multi_pb import NetworkParams, energy_supply_prob_mp, mean_harvested
 from wplink.single_pb import energy_supply_prob
-from wplink.specfun import DomainError
+from wplink.single_pb import DomainError
 
 NET = NetworkParams(density=1e-3, p_pb=1e3, mu=1.0, eta=3.6)
 

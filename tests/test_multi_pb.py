@@ -19,7 +19,7 @@ from wplink.multi_pb import (
     mean_harvested,
 )
 from wplink.single_pb import BlocklengthPlan, LinkParams, achievable_rate_fbl
-from wplink.specfun import ConvergenceError, DomainError
+from wplink.single_pb import DomainError
 
 NET = NetworkParams(density=1e-3, p_pb=1e3, mu=1.0, eta=3.6)
 NET_DENSE = NetworkParams(density=5e-3, p_pb=1e3, mu=1.0, eta=3.6)
@@ -281,8 +281,8 @@ def test_derivative_paths_agree_on_reference_nets():
     st.floats(min_value=2.2, max_value=5.0),
 )
 def test_derivative_paths_agree_property(s, order, density, p_pb, eta):
-    # scaled argument u = p_pb*s capped at 500, inside the 2F1 form's
-    # series budget; u <= 1 is where laplace_derivs takes that form itself
+    # scaled argument u = p_pb*s up to 500; u <= 1 is where
+    # laplace_derivs takes the 2F1 form itself
     net = NetworkParams(density=density, p_pb=p_pb, mu=1.0, eta=eta)
     a = laplace_derivs(s, order, net)
     b = hyp_derivs(s, order, net)
@@ -291,12 +291,68 @@ def test_derivative_paths_agree_property(s, order, density, p_pb, eta):
         assert abs(va - vb) <= 1e-9 * scale
 
 
-def test_audit_path_rejects_oversized_arguments():
-    # the series coefficients serve any argument, while the 2F1 form needs
-    # about 1/(1-w) terms and declares defeat loudly rather than degrade
-    assert laplace_derivs(20.0, 8, NET).order == 8  # u = 2e4: fine here
-    with pytest.raises(ConvergenceError):
-        hyp_derivs(20.0, 8, NET)
+def test_audit_path_serves_large_arguments():
+    # u = 2e4 and 1e6, where w = u/(1+u) is within 1e-6 of 1: the 2F1 form
+    # still matches the series coefficients
+    for s in (20.0, 1000.0):
+        a = laplace_derivs(s, 8, NET)
+        b = hyp_derivs(s, 8, NET)
+        scale = max(abs(v) for v in a.values)
+        for va, vb in zip(a.values, b):
+            assert abs(va - vb) <= 1e-9 * scale, s
+
+
+# ----------------------------------------------------------------
+# Complete Bell polynomials: the product recurrence of the derivative
+# ladder, L^(n) = L B_n(g', ..., g^(n)) for L = exp(g)
+
+
+def complete_bell(u):
+    return multi_pb._ladder(1.0, list(u))[-1]
+
+
+def test_bell_small_cases():
+    assert complete_bell([]) == 1.0
+    assert complete_bell([4.5]) == 4.5
+    u1, u2 = 2.0, 1.0
+    assert complete_bell([u1, u2]) == u1**2 + u2  # = 5
+    u1, u2, u3 = 1.5, -0.25, 2.0
+    assert complete_bell([u1, u2, u3]) == pytest.approx(
+        u1**3 + 3.0 * u1 * u2 + u3, rel=1e-14
+    )
+
+
+def partition_expansion(us):
+    """B_n as the sum over integer partitions n = sum_j j*k_j of
+    n! prod_j (u_j/j!)^k_j / k_j! (Faa di Bruno's formula)."""
+    n = len(us)
+
+    def parts(rest, largest):
+        if rest == 0:
+            yield {}
+            return
+        for j in range(min(rest, largest), 0, -1):
+            for tail in parts(rest - j, j):
+                counts = dict(tail)
+                counts[j] = counts.get(j, 0) + 1
+                yield counts
+
+    total = 0.0
+    for counts in parts(n, n):
+        term = float(math.factorial(n))
+        for j, k in counts.items():
+            term *= (us[j - 1] / math.factorial(j)) ** k / math.factorial(k)
+        total += term
+    return total
+
+
+def test_bell_matches_symbolic_partition_expansion():
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        us = rng.uniform(-2.0, 2.0, size=8)
+        for n in (2, 5, 8):
+            expected = partition_expansion(list(us[:n]))
+            assert complete_bell(list(us[:n])) == pytest.approx(expected, rel=1e-10)
 
 
 # ----------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 from wplink import multi_pb, planner, single_pb
 from wplink.planner import UnsatisfiableError
-from wplink.specfun import DomainError
+from wplink.single_pb import DomainError
 
 
 # ----------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from wplink import montecarlo, multi_pb, planner
 from wplink.single_pb import (
     BlocklengthPlan,
+    DomainError,
     LinkParams,
     SearchError,
     achievable_rate_fbl,
@@ -31,7 +32,6 @@ from wplink.single_pb import (
     transmit_len_within_energy_cap,
     within_derivation_domain,
 )
-from wplink.specfun import DomainError
 
 
 # ----------------------------------------------------------------

@@ -1,93 +1,152 @@
-# Tests for the special-function building blocks.
+# Tests for the two special functions behind the closed forms, both taken
+# from SciPy: Lambert W0, seen through the asymptotic power optimiser, and
+# Gauss 2F1, seen through the positive-argument derivative ladder.
 
 import math
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import hyp2f1
 
-from wplink.multi_pb import NetworkParams, _ladder, laplace_derivs
-from wplink.specfun import (
-    ConvergenceError,
-    DomainError,
-    gauss_2f1,
-    lambert_w0,
-)
+from wplink.multi_pb import NetworkParams, laplace_derivs
+from wplink.single_pb import DomainError, optimal_power_asymptotic, optimal_power_slope
 
 INV_E = math.exp(-1.0)
+EPS = 0.01
+LOG_GROWTH = math.log1p(0.5 * EPS)  # ln(1 + eps/2)
 
 
 # ----------------------------------------------------------------
-# Lambert W, principal branch
+# Lambert W, principal branch, through the power optimiser. At the budget
+# b = (p_e/sigma2) ln(1+eps/2) the optimiser evaluates W0((b-1)/e); its
+# slope is ln(1+eps/2) / (1 + W0), which hands W0 back.
+
+
+def p_e_at(x):
+    """Harvested power whose budget puts the Lambert argument at x."""
+    return (1.0 + math.e * x) / LOG_GROWTH
+
+
+def lambert_via_slope(x):
+    return LOG_GROWTH / optimal_power_slope(p_e_at(x), 1.0, EPS) - 1.0
+
+
+def mp_optimum(p_e, sigma2, eps):
+    """60-digit sigma2 * (t/W0(t/e) - 1) and its slope, t = budget - 1."""
+    with mp.workdps(60):
+        log_growth = mp.log1p(mp.mpf(eps) / 2)
+        t = mp.mpf(p_e) / mp.mpf(sigma2) * log_growth - 1
+        w = mp.lambertw(t / mp.e).real
+        return float(sigma2 * (t / w - 1)), float(log_growth / (1 + w))
 
 
 def test_lambert_fixed_points():
-    assert lambert_w0(0.0) == 0.0
-    assert lambert_w0(math.e) == pytest.approx(1.0, rel=1e-12)
-    assert lambert_w0(-INV_E) == -1.0
+    # W0(0) = 0: the limit t/W0(t/e) -> e; W0(e) = 1: t/W0 = e^2
+    assert optimal_power_slope(p_e_at(0.0), 1.0, EPS) == LOG_GROWTH
+    assert optimal_power_asymptotic(p_e_at(0.0), 1.0, EPS) == pytest.approx(math.e - 1.0, rel=1e-15)
+    assert lambert_via_slope(math.e) == pytest.approx(1.0, rel=1e-12)
+    assert optimal_power_asymptotic(p_e_at(math.e), 1.0, EPS) == pytest.approx(
+        math.e**2 - 1.0, rel=1e-12
+    )
 
 
 def test_lambert_reference_value():
     # frozen: bisection on w*e^w - x over [-1, 0] (mpmath cross-check agrees)
-    assert lambert_w0(-0.18399) == pytest.approx(-0.23204351638163468, abs=1e-11)
+    w_ref = -0.23204351638163468
+    assert lambert_via_slope(-0.18399) == pytest.approx(w_ref, abs=1e-11)
+    assert optimal_power_asymptotic(p_e_at(-0.18399), 1.0, EPS) == pytest.approx(
+        -0.18399 * math.e / w_ref - 1.0, rel=1e-10
+    )
 
 
 def test_lambert_near_branch_regression():
-    # Regression: residual-based stopping must settle here even though the
-    # step in w stalls at the cancellation noise floor (dw ~ eps/|w+1|).
+    # 1.1e-8 above the branch point the budget is 3e-8: the optimum takes
+    # 1 + W0 from the branch-point series rather than from lambertw
     x = -INV_E + 1.1e-8
-    w = lambert_w0(x)
+    w = lambert_via_slope(x)
     assert -1.0 <= w < -0.999
     assert abs(w * math.exp(w) - x) <= 1e-12
 
 
 def test_lambert_domain_errors():
-    with pytest.raises(DomainError):
-        lambert_w0(-0.5)
-    with pytest.raises(DomainError):
-        lambert_w0(float("nan"))
+    # a budget that overflows, underflows to 0 or is NaN has no optimum
+    for p_e, sigma2, eps in (
+        (math.inf, 1.0, 0.5),
+        (1e300, 1e-300, 0.5),
+        (1.0, math.inf, 0.5),
+        (1e-300, 1e300, 0.5),
+        (1.0, 1.0, 5e-324),
+        (math.inf, math.inf, 0.5),
+    ):
+        with pytest.raises(DomainError, match="power budget"):
+            optimal_power_asymptotic(p_e, sigma2, eps)
+        with pytest.raises(DomainError, match="power budget"):
+            optimal_power_slope(p_e, sigma2, eps)
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     st.one_of(
-        st.floats(min_value=-INV_E, max_value=1e6),
+        st.floats(min_value=-INV_E + 1e-6, max_value=1e6),
         st.floats(min_value=-300.0, max_value=6.0).map(lambda e: 10.0**e),
     )
 )
 def test_lambert_defining_identity(x):
-    w = lambert_w0(x)
+    w = lambert_via_slope(x)
+    # the budget rounds to one ulp, which moves x by up to about 1e-16 max(1, |x|)
+    x_seen = (p_e_at(x) * LOG_GROWTH - 1.0) * INV_E
     assert w >= -1.0
-    assert abs(w * math.exp(w) - x) <= 1e-12 * max(1.0, abs(x))
+    assert abs(w * math.exp(w) - x_seen) <= 1e-12 * max(1.0, abs(x))
+
+
+def test_optimal_power_matches_mpmath_reference():
+    # 40-digit mpmath value; the Halley iteration this replaced was 2.8e-11 off
+    assert optimal_power_asymptotic(168.41965087223898, 1.0, 0.01) == pytest.approx(
+        1.5531620504450212, rel=1e-13
+    )
+
+
+BUDGETS = [1e-30, 1e-20, 1e-16, 1e-10, 1e-6, 9.99e-6, 1.001e-5, 1e-3, 0.5, 1.0 - 1e-9, 1.0 + 1e-9, 3.0, 1e4]
+
+
+@pytest.mark.parametrize("p_e, eps", [(b / LOG_GROWTH, EPS) for b in BUDGETS] + [(1e-10, 1e-6)])
+def test_optimal_power_tracks_mpmath_over_budgets(p_e, eps):
+    # near b = 0, b - 1 rounds to -1 and t/W0 - 1 cancels: the branch-point
+    # series takes over below b = 1e-5. At (1e-10, 1e-6), b = 5e-17, where
+    # the optimum read 0.0 and the slope raised ZeroDivisionError
+    p_ref, slope_ref = mp_optimum(p_e, 1.0, eps)
+    assert optimal_power_asymptotic(p_e, 1.0, eps) == pytest.approx(p_ref, rel=2e-11)
+    assert optimal_power_slope(p_e, 1.0, eps) == pytest.approx(slope_ref, rel=2e-11)
 
 
 # ----------------------------------------------------------------
-# Gauss hypergeometric 2F1
+# Gauss hypergeometric 2F1, at the parameter families the package uses
 
 
 def test_hyp_at_zero_is_one():
-    assert gauss_2f1(0.7, 1.3, 2.9, 0.0) == 1.0
+    assert hyp2f1(0.7, 1.3, 2.9, 0.0) == 1.0
 
 
 def test_hyp_log_identity():
     # 2F1(1,1;2;z) = -ln(1-z)/z
     for z in (-0.5, -1.0, -7.0, -200.0, 0.25, 0.9):
         expected = -math.log1p(-z) / z
-        assert gauss_2f1(1.0, 1.0, 2.0, z) == pytest.approx(expected, rel=1e-10)
+        assert hyp2f1(1.0, 1.0, 2.0, z) == pytest.approx(expected, rel=1e-10)
 
 
 def test_hyp_reference_value():
     # frozen: adaptive quadrature of the Euler integral representation
-    val = gauss_2f1(1.0, 1.0 - 2.0 / 3.6, 2.0 - 2.0 / 3.6, -5.0)
+    val = hyp2f1(1.0, 1.0 - 2.0 / 3.6, 2.0 - 2.0 / 3.6, -5.0)
     assert val == pytest.approx(0.54357645755532237, rel=1e-11)
 
 
 def test_hyp_direct_vs_pfaff_routes():
-    # For z in (-1, 0) the raw series converges too, so both evaluation
-    # routes are available; they must agree closely.
+    # For z in (-1, 0) the raw series converges too; it must agree closely.
     for z in (-0.05, -0.3, -0.6, -0.95):
         a, b, c = 0.8, 1.0 - 2.0 / 3.6, 2.0 - 2.0 / 3.6
         direct = sum_series(a, b, c, z)
-        assert gauss_2f1(a, b, c, z) == pytest.approx(direct, rel=1e-10)
+        assert hyp2f1(a, b, c, z) == pytest.approx(direct, rel=1e-10)
 
 
 def sum_series(a, b, c, z, terms=400):
@@ -96,13 +155,6 @@ def sum_series(a, b, c, z, terms=400):
         term *= (a + k) * (b + k) / ((c + k) * (1.0 + k)) * z
         total += term
     return total
-
-
-def test_hyp_domain_errors():
-    with pytest.raises(DomainError):
-        gauss_2f1(1.0, 0.5, 1.5, 1.0)
-    with pytest.raises(DomainError):
-        gauss_2f1(1.0, 0.5, -2.0, -1.0)
 
 
 # ----------------------------------------------------------------
@@ -114,11 +166,11 @@ def kernel_deriv(k, x1, eta):
 
     DLMF 15.5.2 with Pfaff's transformation gives
     (-1)^k k! (1-beta)/(k+1-beta) (1+x1)^(-k-1) 2F1(k+1, 1; k+2-beta; w),
-    w = x1/(1+x1): the same positive-argument family of gauss_2f1 calls that
+    w = x1/(1+x1): the same positive-argument family of hyp2f1 calls that
     the beacon-field derivative ladder makes for small arguments.
     """
     beta = 2.0 / eta
-    hyp = gauss_2f1(k + 1.0, 1.0, k + 2.0 - beta, x1 / (1.0 + x1))
+    hyp = hyp2f1(k + 1.0, 1.0, k + 2.0 - beta, x1 / (1.0 + x1))
     return (-1.0) ** k * math.factorial(k) * (1.0 - beta) / (k + 1.0 - beta) * hyp / (
         1.0 + x1
     ) ** (k + 1)
@@ -127,7 +179,7 @@ def kernel_deriv(k, x1, eta):
 def test_deriv_order_zero_is_function():
     for x1 in (0.0, 0.7, 12.0):
         assert kernel_deriv(0, x1, 3.6) == pytest.approx(
-            gauss_2f1(1.0, 1.0 - 2.0 / 3.6, 2.0 - 2.0 / 3.6, -x1), rel=1e-12
+            hyp2f1(1.0, 1.0 - 2.0 / 3.6, 2.0 - 2.0 / 3.6, -x1), rel=1e-12
         )
 
 
@@ -138,7 +190,7 @@ def test_deriv_first_order_at_origin():
 
 
 def test_deriv_reference_value():
-    # frozen: Richardson-extrapolated central differences of gauss_2f1
+    # frozen: Richardson-extrapolated central differences of the 2F1 kernel
     assert kernel_deriv(3, 2.0, 3.6) == pytest.approx(-0.024742440905617058, rel=1e-9)
 
 
@@ -169,58 +221,3 @@ def test_deriv_input_validation():
         laplace_derivs(-0.5, 2, net)
     with pytest.raises(DomainError):
         laplace_derivs(float("nan"), 2, net)
-
-
-# ----------------------------------------------------------------
-# Complete Bell polynomials: the product recurrence of the derivative
-# ladder, L^(n) = L B_n(g', ..., g^(n)) for L = exp(g)
-
-
-def complete_bell(u):
-    return _ladder(1.0, list(u))[-1]
-
-
-def test_bell_small_cases():
-    assert complete_bell([]) == 1.0
-    assert complete_bell([4.5]) == 4.5
-    u1, u2 = 2.0, 1.0
-    assert complete_bell([u1, u2]) == u1**2 + u2  # = 5
-    u1, u2, u3 = 1.5, -0.25, 2.0
-    assert complete_bell([u1, u2, u3]) == pytest.approx(
-        u1**3 + 3.0 * u1 * u2 + u3, rel=1e-14
-    )
-
-
-def partition_expansion(us):
-    """B_n as the sum over integer partitions n = sum_j j*k_j of
-    n! prod_j (u_j/j!)^k_j / k_j! (Faa di Bruno's formula)."""
-    n = len(us)
-
-    def parts(rest, largest):
-        if rest == 0:
-            yield {}
-            return
-        for j in range(min(rest, largest), 0, -1):
-            for tail in parts(rest - j, j):
-                counts = dict(tail)
-                counts[j] = counts.get(j, 0) + 1
-                yield counts
-
-    total = 0.0
-    for counts in parts(n, n):
-        term = float(math.factorial(n))
-        for j, k in counts.items():
-            term *= (us[j - 1] / math.factorial(j)) ** k / math.factorial(k)
-        total += term
-    return total
-
-
-def test_bell_matches_symbolic_partition_expansion():
-    import numpy as np
-
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        us = rng.uniform(-2.0, 2.0, size=8)
-        for n in (2, 5, 8):
-            expected = partition_expansion(list(us[:n]))
-            assert complete_bell(list(us[:n])) == pytest.approx(expected, rel=1e-10)
