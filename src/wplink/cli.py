@@ -330,17 +330,13 @@ def _optpower_point(ns) -> tuple[list, list]:
     pt_asym = single_pb.optimal_power_asymptotic(ns.pe, ns.sigma2, ns.eps)
     pt_fbl, rate_fbl_nats = single_pb.optimal_power_fbl(ns.eps, ns.pe, ns.sigma2)
     n = planner.min_transmit_blocklength(ns.eps)
-    m = planner.min_harvest_blocklength(n, pt_asym / ns.pe, ns.eps)
-    res = single_pb.achievable_rate_fbl(
-        single_pb.BlocklengthPlan(m, n, ns.eps),
-        single_pb.LinkParams(p_t=pt_asym, p_e=ns.pe, sigma2=ns.sigma2),
-    )
+    link = single_pb.LinkParams(p_t=pt_asym, p_e=ns.pe, sigma2=ns.sigma2)
     return [], [
         pt_asym,
         pt_fbl,
         pt_asym / ns.pe,
         pt_fbl / ns.pe,
-        res.rate_bits if res.feasible else None,
+        _planned_rate_bits(n, pt_asym / ns.pe, link, ns.eps),
         rate_fbl_nats / _LN2,
     ]
 
@@ -376,6 +372,14 @@ def cmd_plan(args) -> int:
     return _run(args, _plan_point, [], ["n_min", "m_min", "overhead", "total"])
 
 
+def _planned_rate_bits(n: int, a: float, link: single_pb.LinkParams, eps: float):
+    """The rate in bits at the shortest harvest length for ``a``, or None
+    where that plan is infeasible."""
+    m = planner.min_harvest_blocklength(n, a, eps)
+    res = single_pb.achievable_rate_fbl(single_pb.BlocklengthPlan(m, n, eps), link)
+    return res.rate_bits if res.feasible else None
+
+
 # ----------------------------------------------------------------- figures
 #
 # The bundled scenarios pin every parameter explicitly. Values that the
@@ -393,12 +397,8 @@ def _figure_fig2():
         n = planner.min_transmit_blocklength(eps)
         xs, ys = [], []
         for a in grid:
-            m = planner.min_harvest_blocklength(n, a, eps)
-            res = single_pb.achievable_rate_fbl(
-                single_pb.BlocklengthPlan(m, n, eps),
-                single_pb.LinkParams(p_t=a * p_e, p_e=p_e, sigma2=sigma2),
-            )
-            rate = res.rate_bits if res.feasible else None
+            link = single_pb.LinkParams(p_t=a * p_e, p_e=p_e, sigma2=sigma2)
+            rate = _planned_rate_bits(n, a, link, eps)
             rows.append([eps, a, rate])
             if rate is not None:
                 xs.append(a)
@@ -411,29 +411,17 @@ def _figure_fig2():
 def _figure_fig3():
     p_e, sigma2 = 1e3, 1.0
     pt_fixed = single_pb.optimal_power_asymptotic(p_e, sigma2, 1e-3)
+    link_fixed = single_pb.LinkParams(p_t=pt_fixed, p_e=p_e, sigma2=sigma2)
     rows = []
-    xs, fixed, adapted, asym = [], [], [], []
-
-    def fbl_rate(p_t: float, n: int, eps: float):
-        m = planner.min_harvest_blocklength(n, p_t / p_e, eps)
-        res = single_pb.achievable_rate_fbl(
-            single_pb.BlocklengthPlan(m, n, eps),
-            single_pb.LinkParams(p_t=p_t, p_e=p_e, sigma2=sigma2),
-        )
-        return res.rate_bits if res.feasible else None
-
     for eps in _log_grid(1e-4, 0.5, 41):
         n = planner.min_transmit_blocklength(eps)
         pt_ad = single_pb.optimal_power_asymptotic(p_e, sigma2, eps)
-        r_fixed = fbl_rate(pt_fixed, n, eps)
-        r_ad = fbl_rate(pt_ad, n, eps)
         link_ad = single_pb.LinkParams(p_t=pt_ad, p_e=p_e, sigma2=sigma2)
+        r_fixed = _planned_rate_bits(n, pt_fixed / p_e, link_fixed, eps)
+        r_ad = _planned_rate_bits(n, pt_ad / p_e, link_ad, eps)
         r_asym = single_pb.asymptotic_rate(link_ad, eps) / _LN2
         rows.append([eps, r_fixed, r_ad, r_asym])
-        xs.append(eps)
-        fixed.append(r_fixed)
-        adapted.append(r_ad)
-        asym.append(r_asym)
+    xs, fixed, adapted, asym = zip(*rows)
     header = ["eps", "rate_bits_fixed_power", "rate_bits_adapted_power", "rate_bits_asymptotic"]
     plot = dict(
         series=[("fixed power", xs, fixed), ("adapted power", xs, adapted), ("asymptotic", xs, asym)],
@@ -444,53 +432,30 @@ def _figure_fig3():
     return header, rows, plot
 
 
-def _optimal_power_rows(eps: float = 0.05):
+def _figure_optimal_power(ratio: bool):
+    """fig4: both optimal powers against p_e at eps = 0.05; fig5 (``ratio``):
+    the same scan as power ratios."""
     rows = []
     for p_e in _log_grid(1e2, 1e4, 25):
-        pt_asym = single_pb.optimal_power_asymptotic(p_e, 1.0, eps)
-        pt_fbl, _ = single_pb.optimal_power_fbl(eps, p_e, 1.0)
-        rows.append((p_e, pt_asym, pt_fbl))
-    return rows
-
-
-def _figure_fig4():
-    base = _optimal_power_rows()
-    rows = [[p_e, pa, pf] for p_e, pa, pf in base]
-    xs = [r[0] for r in base]
+        pt_asym = single_pb.optimal_power_asymptotic(p_e, 1.0, 0.05)
+        pt_fbl, _ = single_pb.optimal_power_fbl(0.05, p_e, 1.0)
+        scale = p_e if ratio else 1.0
+        rows.append([p_e, pt_asym / scale, pt_fbl / scale])
+    xs, opt_asym, opt_fbl = zip(*rows)
     plot = dict(
-        series=[
-            ("asymptotic", xs, [r[1] for r in base]),
-            ("finite frame", xs, [r[2] for r in base]),
-        ],
+        series=[("asymptotic", xs, opt_asym), ("finite frame", xs, opt_fbl)],
         x_label="pe",
-        y_label="optimal pt",
+        y_label="optimal a" if ratio else "optimal pt",
         log_x=True,
-        log_y=True,
+        log_y=not ratio,
     )
-    return ["pe", "pt_asym", "pt_fbl"], rows, plot
-
-
-def _figure_fig5():
-    base = _optimal_power_rows()
-    rows = [[p_e, pa / p_e, pf / p_e] for p_e, pa, pf in base]
-    xs = [r[0] for r in base]
-    plot = dict(
-        series=[
-            ("asymptotic", xs, [r[1] for r in rows]),
-            ("finite frame", xs, [r[2] for r in rows]),
-        ],
-        x_label="pe",
-        y_label="optimal a",
-        log_x=True,
-    )
-    return ["pe", "a_asym", "a_fbl"], rows, plot
+    return ["pe", "a_asym", "a_fbl"] if ratio else ["pe", "pt_asym", "pt_fbl"], rows, plot
 
 
 def _figure_fig6():
     lam0, p0 = 1e-3, 1e3
     m, n, p_t = 1500, 1000, 1.0
     rows = []
-    xs, dens, powr = [], [], []
     for i in range(19):
         k = 1.0 + 0.5 * i
         net_d = multi_pb.NetworkParams(density=k * lam0, p_pb=p0)
@@ -499,9 +464,7 @@ def _figure_fig6():
         s_d = multi_pb.energy_supply_prob_mp(m, n, p_t, net_d)
         s_p = multi_pb.energy_supply_prob_mp(m, n, p_t, net_p)
         rows.append([k, mean, s_d, s_p])
-        xs.append(mean)
-        dens.append(s_d)
-        powr.append(s_p)
+    _, xs, dens, powr = zip(*rows)
     header = ["k", "mean_harvested", "pes_density_scaled", "pes_power_scaled"]
     plot = dict(
         series=[("density scaled", xs, dens), ("power scaled", xs, powr)],
@@ -540,8 +503,8 @@ def _figure_fig7():
 _FIGURES = {
     "fig2": _figure_fig2,
     "fig3": _figure_fig3,
-    "fig4": _figure_fig4,
-    "fig5": _figure_fig5,
+    "fig4": lambda: _figure_optimal_power(False),
+    "fig5": lambda: _figure_optimal_power(True),
     "fig6": _figure_fig6,
     "fig7": _figure_fig7,
 }

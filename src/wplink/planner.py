@@ -67,10 +67,14 @@ def min_harvest_blocklength(n: int, a: float, epsilon: float) -> int:
         UnsatisfiableError: If the real-valued floor leaves the double range.
     """
     _check_even_n(n)
-    floor = single_pb.harvest_floor_real(float(n), a, epsilon)
+    return _harvest_len(single_pb.harvest_floor_real(float(n), a, epsilon), n, a, epsilon)
+
+
+def _harvest_len(floor: float, n: int, a: float, epsilon: float) -> int:
+    """The harvest length of a real floor: its ceiling, unless it overflowed."""
     if floor == math.inf:
         raise UnsatisfiableError(f"harvest floor overflows for n={n!r}, a={a!r}, eps={epsilon!r}")
-    return int(math.ceil(floor))
+    return math.ceil(floor)
 
 
 class _Threshold:

@@ -101,9 +101,10 @@ def _check_power(p_t: float, finite: bool = False) -> None:
         raise DomainError(f"p_t must be {'finite and ' if finite else ''}>= 0, got {p_t!r}")
 
 
-def _check_positive(name: str, value: float) -> None:
-    if not (value > 0.0):
-        raise DomainError(f"{name} must be > 0, got {value!r}")
+def _check_positive(name: str, value: float, finite: bool = False) -> None:
+    """A value > 0; ``finite`` where it must also be finite."""
+    if not (value > 0.0 and (value < math.inf or not finite)):
+        raise DomainError(f"{name} must be {'finite and ' if finite else ''}> 0, got {value!r}")
 
 
 # =============================================================================
@@ -263,9 +264,18 @@ def harvest_floor_real(n: float, a: float, epsilon: float) -> float:
     _check_positive("n", n)
     _check_ratio(a)
     _check_epsilon(epsilon)
+    return _harvest_floor(a, _floor_growth(n, epsilon))
+
+
+def _floor_growth(n: float, epsilon: float) -> float:
+    """(1 + eps/2)^(2/n) - 1, the harvest floor's denominator."""
+    return math.expm1((2.0 / n) * math.log1p(0.5 * epsilon))
+
+
+def _harvest_floor(a: float, growth: float) -> float:
+    """2a/growth: 0 at a = 0, and inf where ``growth`` has underflowed to 0."""
     if a == 0.0:
         return 0.0
-    growth = math.expm1((2.0 / n) * math.log1p(0.5 * epsilon))
     return 2.0 * a / growth if growth > 0.0 else math.inf
 
 
@@ -447,30 +457,53 @@ def optimal_power_slope(p_e: float, sigma2: float, epsilon: float) -> float:
     return math.log1p(0.5 * epsilon) / _optimum(p_e, sigma2, epsilon)[1]
 
 
+def _rate_probe(epsilon: float, p_e: float, sigma2: float):
+    """The rate that :func:`optimal_power_fbl` maximizes, as a function of p_t:
+    ``achievable_rate_fbl(BlocklengthPlan(min_harvest_blocklength(n, p_t/p_e,
+    eps), n, eps), LinkParams(p_t, p_e, sigma2)).rate_nats`` for the shortest
+    even n, bit for bit. n, the harvest floor's growth term and the checks of
+    eps, p_e and sigma2 are taken once here, so a probe is plain arithmetic."""
+    from . import planner  # deferred: planner builds on this module
+
+    n = planner.min_transmit_blocklength(epsilon)
+    _check_positive("p_e", p_e, finite=True)
+    _check_positive("sigma2", sigma2, finite=True)
+    growth = _floor_growth(n, epsilon)
+
+    def rate_at(p_t: float) -> float:
+        a = p_t / p_e
+        m = planner._harvest_len(_harvest_floor(a, growth), n, a, epsilon)
+        raw = _raw_rate_nats(m, n, p_t / sigma2, epsilon)
+        return 0.0 if raw < 0.0 else raw
+
+    return rate_at
+
+
 def optimal_power_fbl(epsilon: float, p_e: float, sigma2: float = 1.0) -> tuple[float, float]:
     """Maximize the finite-blocklength rate over transmit power.
 
-    For each candidate power the blocklengths are re-planned (minimal even
-    transmit length for the error target, then the minimal harvest length
-    for the resulting power ratio). The search is golden-section on
-    ln(p_t) over [1e-6 * p_e, p_e], seeded by a 32-point pre-scan; the
-    asymptotically optimal power is always included as a candidate.
+    For each candidate power the blocklengths are re-planned: the shortest
+    even transmit length for the error target, then the shortest harvest
+    length for the resulting power ratio. Each such rate probe is plain
+    arithmetic on constants taken once per call (see ``_rate_probe``). The
+    search is golden-section on ln(p_t) over [1e-6 * p_e, p_e], seeded by a
+    32-point pre-scan; the asymptotically optimal power is always included
+    as a candidate.
 
     Returns:
         (p_t_star, rate_nats_star).
 
     Raises:
+        DomainError: eps outside (0, 1); p_e or sigma2 not finite and > 0;
+            p_e so small that 1e-6 * p_e underflows to 0; or, from the
+            asymptotic candidate, a power budget outside the double range.
+        UnsatisfiableError: If a probe's harvest floor leaves the double
+            range.
         SearchError: If the rate is zero over the whole bracket.
     """
-    from . import planner  # deferred: planner builds on this module
-
-    n = planner.min_transmit_blocklength(epsilon)
-
-    def rate_at(p_t: float) -> float:
-        m = planner.min_harvest_blocklength(n, p_t / p_e, epsilon)
-        plan = BlocklengthPlan(m=m, n=n, epsilon=epsilon)
-        return achievable_rate_fbl(plan, LinkParams(p_t, p_e, sigma2)).rate_nats
-
+    rate_at = _rate_probe(epsilon, p_e, sigma2)
+    if 1e-6 * p_e == 0.0:
+        raise DomainError(f"p_e={p_e!r} is too small: the bracket end 1e-6 * p_e is 0")
     lo, hi = math.log(1e-6 * p_e), math.log(p_e)
     grid = [lo + (hi - lo) * i / 31.0 for i in range(32)]
     scans = [(rate_at(math.exp(x)), x) for x in grid]

@@ -2,6 +2,7 @@
 # validation run. Most cases drive main() in-process; one subprocess test
 # covers the module entry point.
 
+import hashlib
 import subprocess
 import sys
 
@@ -293,12 +294,14 @@ def test_zero_harvested_power_is_domain_error(capsys):
     [
         (["optpower", "--eps", "0.5", "--pe", "inf"], "power budget"),
         (["optpower", "--eps", "0.5", "--pe", "1e300", "--sigma2", "1e-300"], "power budget"),
+        (["optpower", "--eps", "0.05", "--pe", "1e-320"], "p_e=1e-320 is too small"),
         (["validate", "--mc-trials", "1"], "trials must be an integer >= 2"),
         (["validate", "--mc-trials", "0"], "trials must be an integer >= 2"),
         (["pes", "-m", "100", "-n", "50", "-a", "0.1", "--mc-trials", "0"],
          "trials must be an integer >= 1"),
     ],
-    ids=["optpower-pe-inf", "optpower-budget-overflow", "validate-1-trial",
+    ids=["optpower-pe-inf", "optpower-budget-overflow", "optpower-bracket-underflow",
+         "validate-1-trial",
          "validate-0-trials", "pes-0-trials"],
 )
 def test_out_of_range_input_is_one_error_line(capsys, argv, message):
@@ -307,6 +310,27 @@ def test_out_of_range_input_is_one_error_line(capsys, argv, message):
     assert code == 3
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith(f"error: {message}")
+
+
+def test_optpower_harvest_floor_overflow_is_one_error_line(capsys):
+    code, out, err = run_cli(capsys, "optpower", "--pe", "1e300", "--eps", "1e-300")
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "error: harvest floor overflows for n=3650388678900, "
+        "a=3.5349811050300166e-05, eps=1e-300\n"
+    )
+
+
+def test_optpower_sweep_output_is_pinned(capsys):
+    # SHA-256 of the 201 lines captured from the optimiser that re-planned
+    # each probe through the public API: the search and its probes are
+    # unchanged to the last printed digit
+    code, out, _ = run_cli(capsys, "optpower", "--eps", "0.05", "--sweep", "pe:100:10000:200:log")
+    assert code == 0
+    assert len(out.splitlines()) == 201
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "fe84bae860698ffc7d9c0e3dfca80c4f73028be835081e54ab56392b1d9bb7ad"
 
 
 def test_rate_at_zero_power_needs_no_harvest(capsys):

@@ -7,7 +7,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wplink import montecarlo, multi_pb, planner
+from wplink import montecarlo, multi_pb, planner, single_pb
 from wplink.single_pb import (
     BlocklengthPlan,
     DomainError,
@@ -355,19 +355,19 @@ def test_optimal_power_small_budget_branch():
     assert 0.0 < p < 1.0
 
 
+def _replanned_rate(p_t, p_e, sigma2, eps):
+    """optimal_power_fbl's objective, through the public API."""
+    n = planner.min_transmit_blocklength(eps)
+    plan = BlocklengthPlan(planner.min_harvest_blocklength(n, p_t / p_e, eps), n, eps)
+    return achievable_rate_fbl(plan, LinkParams(p_t, p_e, sigma2)).rate_nats
+
+
 def test_optimal_power_fbl_dominates_asymptotic_choice():
     eps, p_e = 0.05, 100.0
     p_fbl, rate_fbl = optimal_power_fbl(eps, p_e)
     p_asym = optimal_power_asymptotic(p_e, 1.0, eps)
-    n = planner.min_transmit_blocklength(eps)
-
-    def replanned_rate(p_t):
-        m = planner.min_harvest_blocklength(n, p_t / p_e, eps)
-        plan = BlocklengthPlan(m=m, n=n, epsilon=eps)
-        return achievable_rate_fbl(plan, LinkParams(p_t, p_e)).rate_nats
-
-    assert rate_fbl == pytest.approx(replanned_rate(p_fbl), rel=1e-12)
-    assert rate_fbl >= replanned_rate(p_asym)
+    assert rate_fbl == pytest.approx(_replanned_rate(p_fbl, p_e, 1.0, eps), rel=1e-12)
+    assert rate_fbl >= _replanned_rate(p_asym, p_e, 1.0, eps)
     # the finite-length penalties push the optimum above the asymptotic one
     assert p_fbl >= p_asym
 
@@ -375,6 +375,73 @@ def test_optimal_power_fbl_dominates_asymptotic_choice():
 def test_optimal_power_fbl_raises_when_rate_is_flat_zero():
     with pytest.raises(SearchError):
         optimal_power_fbl(1e-3, 0.01)
+
+
+# (eps, p_e, sigma2) -> (pt_fbl, rate_nats), captured from the optimiser that
+# re-planned each probe through the public API; exact, so any change to the
+# search or to a probe's floating-point operations shows.
+OPTIMAL_POWER_FBL_PINS = [
+    ((1e-3, 1000.0, 1.0), (2.0478770128861425, 0.0750861338954227)),
+    ((1e-3, 1e5, 3.0), (36.08241066726138, 0.6266656247346936)),
+    ((0.01, 300.0, 1.0), (2.7882647942599226, 0.1889099689836879)),
+    ((0.01, 3e4, 3.0), (71.42949555406149, 0.990283563213857)),
+    ((0.05, 100.0, 1.0), (3.5979013215715043, 0.25768840721180925)),
+    ((0.05, 1e4, 3.0), (104.32938789944617, 1.1561175297065611)),
+    ((0.5, 100.0, 3.0), (36.95300917780436, 0.29145531314760126)),
+    ((0.5, 1e5, 1.0), (4016.631430658807, 3.0620380540457206)),
+]
+
+
+@pytest.mark.parametrize("args, expected", OPTIMAL_POWER_FBL_PINS)
+def test_optimal_power_fbl_pinned_values(args, expected):
+    assert optimal_power_fbl(*args) == expected
+
+
+@pytest.mark.parametrize(
+    "p_e, sigma2, message",
+    [
+        (0.0, 1.0, "p_e must be finite and > 0"),
+        (-1.0, 1.0, "p_e must be finite and > 0"),
+        (math.inf, 1.0, "p_e must be finite and > 0"),
+        (math.nan, 1.0, "p_e must be finite and > 0"),
+        (100.0, 0.0, "sigma2 must be finite and > 0"),
+        (100.0, math.inf, "sigma2 must be finite and > 0"),
+        (100.0, math.nan, "sigma2 must be finite and > 0"),
+        (1e-320, 1.0, "p_e=1e-320 is too small"),
+    ],
+)
+def test_optimal_power_fbl_rejects_out_of_range_powers(p_e, sigma2, message):
+    # p_e <= 0 raised a bare ValueError from math.log, p_e = inf a DomainError
+    # about a NaN power ratio, sigma2 = inf a SearchError
+    with pytest.raises(DomainError, match=message):
+        optimal_power_fbl(0.05, p_e, sigma2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    eps=st.floats(1e-6, 0.9),
+    log_pe=st.floats(-2.0, 8.0),
+    log_sigma2=st.floats(-3.0, 3.0),
+    frac=st.one_of(st.none(), st.floats(0.0, 1.0)),
+)
+def test_rate_probe_is_bit_identical_to_public_path(eps, log_pe, log_sigma2, frac):
+    p_e, sigma2 = 10.0 ** log_pe, 10.0 ** log_sigma2
+    # frac None is a = 0; otherwise p_t runs log-uniformly over [1e-6 p_e, p_e]
+    p_t = 0.0 if frac is None else p_e * 10.0 ** (-6.0 * frac)
+    probe = single_pb._rate_probe(eps, p_e, sigma2)
+    assert probe(p_t) == _replanned_rate(p_t, p_e, sigma2, eps)
+
+
+@pytest.mark.parametrize("eps, p_e, p_t", [(1e-300, 1e300, 3.5e295), (1e-320, 100.0, 1e-4)])
+def test_rate_probe_keeps_unsatisfiable_error(eps, p_e, p_t):
+    # the harvest floor overflows: both paths raise the same error, except at
+    # a = 0, where no harvest is needed
+    assert single_pb._rate_probe(eps, p_e, 1.0)(0.0) == _replanned_rate(0.0, p_e, 1.0, eps)
+    with pytest.raises(planner.UnsatisfiableError) as public:
+        _replanned_rate(p_t, p_e, 1.0, eps)
+    with pytest.raises(planner.UnsatisfiableError, match="harvest floor overflows") as probe:
+        single_pb._rate_probe(eps, p_e, 1.0)(p_t)
+    assert str(probe.value) == str(public.value)
 
 
 def test_link_params_validation():
