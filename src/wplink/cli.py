@@ -35,8 +35,8 @@ _LN2 = math.log(2.0)
 _LIB_ERRORS = (
     DomainError,
     multi_pb.StabilityError,
-    planner.UnsatisfiableError,
     single_pb.SearchError,
+    single_pb.UnsatisfiableError,
 )
 
 # ------------------------------------------------------------ serialization
@@ -123,10 +123,11 @@ def _parse_sweep(text: str) -> SweepSpec:
 
 def _swept(variable: str, value: float):
     """The value a sweep row evaluates: counts are rounded, and an odd n
-    moves up one slot, as BlocklengthPlan does (the series needs an even n)."""
+    moves up one slot, as BlocklengthPlan does (the series needs an even n).
+    A count below its minimum is left for the command's checks to reject."""
     if variable not in ("m", "n"):
         return value
-    value = max(int(round(value)), 1)
+    value = int(round(value))
     return value + value % 2 if variable == "n" else value
 
 
@@ -298,9 +299,12 @@ def cmd_pes(args) -> int:
 def _rate_point(ns) -> tuple[list, list]:
     if ns.eps is None:
         raise DomainError("rate needs --eps")
-    n = ns.n if ns.n is not None else planner.min_transmit_blocklength(ns.eps)
+    n = ns.n if ns.n is not None else single_pb.min_transmit_blocklength(ns.eps)
+    # A given -n is held to the even-n rule whether or not -m is given too;
+    # BlocklengthPlan alone would round it up silently.
     if ns.mode == "single":
         a, p_t, p_e = _resolve_single(ns)
+        single_pb._check_even_n(n)
         m = ns.m if ns.m is not None else planner.min_harvest_blocklength(n, a, ns.eps)
         plan = single_pb.BlocklengthPlan(m, n, ns.eps)
         link = single_pb.LinkParams(p_t=p_t, p_e=p_e, sigma2=ns.sigma2)
@@ -309,6 +313,7 @@ def _rate_point(ns) -> tuple[list, list]:
         lead = [m, n, a]
     else:
         p_t, net = _resolve_multi(ns)
+        single_pb._check_even_n(n)
         m = ns.m if ns.m is not None else planner.min_harvest_blocklength_mp(n, p_t, net, ns.eps)
         plan = single_pb.BlocklengthPlan(m, n, ns.eps)
         res = multi_pb.achievable_rate_mp(plan, p_t, ns.sigma2, net)
@@ -329,7 +334,7 @@ def _optpower_point(ns) -> tuple[list, list]:
         raise DomainError("optpower needs --pe and --eps")
     pt_asym = single_pb.optimal_power_asymptotic(ns.pe, ns.sigma2, ns.eps)
     pt_fbl, rate_fbl_nats = single_pb.optimal_power_fbl(ns.eps, ns.pe, ns.sigma2)
-    n = planner.min_transmit_blocklength(ns.eps)
+    n = single_pb.min_transmit_blocklength(ns.eps)
     link = single_pb.LinkParams(p_t=pt_asym, p_e=ns.pe, sigma2=ns.sigma2)
     return [], [
         pt_asym,
@@ -356,7 +361,7 @@ def cmd_optpower(args) -> int:
 def _plan_point(ns) -> tuple[list, list]:
     if ns.eps is None:
         raise DomainError("plan needs --eps")
-    n_min = planner.min_transmit_blocklength(ns.eps)
+    n_min = single_pb.min_transmit_blocklength(ns.eps)
     if ns.mode == "single":
         a, _, _ = _resolve_single(ns)
         m_min = planner.min_harvest_blocklength(n_min, a, ns.eps)
@@ -394,7 +399,7 @@ def _figure_fig2():
     grid = _log_grid(1e-4, 1.0, 61)
     rows, series = [], []
     for eps in eps_list:
-        n = planner.min_transmit_blocklength(eps)
+        n = single_pb.min_transmit_blocklength(eps)
         xs, ys = [], []
         for a in grid:
             link = single_pb.LinkParams(p_t=a * p_e, p_e=p_e, sigma2=sigma2)
@@ -414,7 +419,7 @@ def _figure_fig3():
     link_fixed = single_pb.LinkParams(p_t=pt_fixed, p_e=p_e, sigma2=sigma2)
     rows = []
     for eps in _log_grid(1e-4, 0.5, 41):
-        n = planner.min_transmit_blocklength(eps)
+        n = single_pb.min_transmit_blocklength(eps)
         pt_ad = single_pb.optimal_power_asymptotic(p_e, sigma2, eps)
         link_ad = single_pb.LinkParams(p_t=pt_ad, p_e=p_e, sigma2=sigma2)
         r_fixed = _planned_rate_bits(n, pt_fixed / p_e, link_fixed, eps)
@@ -519,14 +524,7 @@ def cmd_figure(args) -> int:
     print(csv_path)
     if args.svg:
         svg_path = os.path.join(out_dir, f"{args.name}.svg")
-        render_line_chart(
-            svg_path,
-            plot["series"],
-            x_label=plot["x_label"],
-            y_label=plot["y_label"],
-            log_x=plot.get("log_x", False),
-            log_y=plot.get("log_y", False),
-        )
+        render_line_chart(svg_path, **plot)
         print(svg_path)
     return 0
 
@@ -759,7 +757,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    planner._THRESHOLDS.clear()
+    multi_pb._threshold.cache_clear()
     args = _build_parser().parse_args(argv)
     try:
         _finalize(args)

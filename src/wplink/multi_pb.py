@@ -10,9 +10,11 @@ driven by g and its derivatives:
   for derivatives of exp(g).
 * :func:`energy_supply_prob_mp` -- probability that m slots of harvesting
   cover an n-slot codeword, via a rescaled nonnegative series that stays
-  stable to thousands of terms.
+  stable up to n/2 = ``_SERIES_CAP`` = 1e6 terms.
 * :func:`achievable_rate_mp` -- finite-blocklength rate with the
-  supply-probability feasibility gate.
+  supply-probability feasibility gate, answered from a cached bracket on
+  the supply threshold 2/(2+eps) (``_threshold``), which the harvest
+  length search ``planner.min_harvest_blocklength_mp`` shares.
 
 The power ratio in this module is a = p_t / (mu * p_pb) — transmit power
 over the mean *per-beacon* harvested scale — not the single-beacon p_t/p_e.
@@ -20,6 +22,7 @@ over the mean *per-beacon* harvested scale — not the single-beacon p_t/p_e.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -58,6 +61,16 @@ _SERIES_CAP = 1_000_000
 _LEAF = 128
 
 _SIGN_SLACK = 1e-9
+
+# Threshold solve in v = ln u: stop at ln(hi/lo) <= _SOLVE_RTOL, which leaves
+# at most one m inside the bracket while m < 1e10, or after _SOLVE_ITERS
+# evaluations. Newton steps are capped at _LOG_STEP_CAP: from the mean-energy
+# start a raw step lands at u ~ 1e32 for eps = 0.05, where the threshold is
+# about 5e6. Up to _THRESHOLD_SLOTS brackets are cached.
+_SOLVE_RTOL = 1e-10
+_SOLVE_ITERS = 60
+_LOG_STEP_CAP = 2.0
+_THRESHOLD_SLOTS = 64
 
 
 class StabilityError(ArithmeticError):
@@ -386,6 +399,90 @@ def _supply_and_slope(count: int, u: float, net: NetworkParams) -> tuple[float, 
     return max(0.0, 1.0 - outage), offset + math.log(total), -count * t_last / total
 
 
+class _Threshold:
+    """Bracket on the supply threshold of one (n/2, net, epsilon).
+
+    The supply probability depends on (m, p_t, mu, p_pb) only through the
+    scaled argument u = m*mu*p_pb/(2 p_t) and increases with it, so one
+    threshold u* in u serves every p_t. ``lo`` is the largest u evaluated
+    infeasible and ``hi`` the smallest evaluated feasible (0 and inf to
+    start, the limits of the supply probability), where feasible is
+    exactly ``energy_supply_prob_mp(...) >= 2/(2+eps)``.
+    """
+
+    def __init__(self, count: int, net: NetworkParams, epsilon: float) -> None:
+        self.count = count
+        self.net = net
+        self.target = 2.0 / (2.0 + epsilon)
+        self.lo = 0.0
+        self.hi = math.inf
+
+    def feasible(self, u: float) -> bool:
+        """Whether the supply probability at u reaches the target; it is
+        evaluated only when u lies strictly inside the bracket."""
+        if u >= self.hi:
+            return True
+        if u <= self.lo:
+            return False
+        return self._evaluate(u)[0]
+
+    def _evaluate(self, u: float) -> tuple[bool, float, float]:
+        supply, log_outage, slope = _supply_and_slope(self.count, u, self.net)
+        ok = supply >= self.target
+        if ok:
+            self.hi = u
+        else:
+            self.lo = u
+        return ok, log_outage, slope
+
+    def solve(self) -> None:
+        """Shrink the bracket, whose hi must be finite, to ln(hi/lo) <= ``_SOLVE_RTOL``.
+
+        Newton on ln(outage) = ln(1 - target) in v = ln u, started where the
+        mean harvested energy covers the codeword. The slope
+        d ln(outage)/d ln u = -(n/2) T_{n/2} / sum_{i<n/2} T_i comes with the
+        outage itself. Steps are capped at ``_LOG_STEP_CAP``, a step leaving
+        the bracket becomes a bisection of it, and every step overshoots by
+        a quarter of the tolerance so that the iterates straddle u*. Stopping
+        early only leaves more of the search to direct evaluations.
+        """
+        # A target that rounds to 1 leaves no finite Newton goal; capped
+        # steps and bisection then find the bracket alone.
+        log_budget = math.log1p(-self.target) if self.target < 1.0 else -math.inf
+        mean_u = self.count * self.net.p_pb * self.net.mu / mean_harvested(self.net)
+        v = math.log(mean_u)
+        for _ in range(_SOLVE_ITERS):
+            lo_v = math.log(self.lo) if self.lo > 0.0 else -math.inf
+            hi_v = math.log(self.hi)
+            if hi_v - lo_v <= _SOLVE_RTOL:
+                return
+            if not lo_v < v < hi_v:
+                v = hi_v - _LOG_STEP_CAP if lo_v == -math.inf else 0.5 * (lo_v + hi_v)
+            ok, log_outage, slope = self._evaluate(math.exp(v))
+            step = (log_budget - log_outage) / slope if -math.inf < slope < 0.0 else math.nan
+            if not abs(step) <= _LOG_STEP_CAP:  # also NaN: no usable slope
+                step = -_LOG_STEP_CAP if ok else _LOG_STEP_CAP
+            v += step + math.copysign(0.25 * _SOLVE_RTOL, step)
+
+
+# Thresholds by (n/2, net, epsilon), least recently used evicted first. Each
+# entry records only evaluations of a pure function, so sharing it between
+# callers changes no answer; ``cli.main`` clears the cache so that every run
+# starts cold.
+@functools.lru_cache(maxsize=_THRESHOLD_SLOTS)
+def _threshold(count: int, net: NetworkParams, epsilon: float) -> _Threshold:
+    return _Threshold(count, net, epsilon)
+
+
+def _meets_supply_target(m: int, n: int, p_t: float, net: NetworkParams, epsilon: float) -> bool:
+    """``energy_supply_prob_mp(m, n, p_t, net) >= 2/(2+epsilon)``, answered
+    from the cached threshold bracket when it decides, evaluated otherwise."""
+    _check_supply_args(m, n, p_t)
+    if p_t == 0.0:
+        return True
+    return _threshold(int(n) // 2, net, epsilon).feasible(_harvest_arg(m, p_t, net))
+
+
 def energy_supply_prob_mp(m: int, n: int, p_t: float, net: NetworkParams) -> float:
     """Probability that m harvesting slots cover an n-slot codeword.
 
@@ -429,9 +526,7 @@ def achievable_rate_mp(
     if plan.epsilon == 0.0:
         feasible = p_t == 0.0
     else:
-        from . import planner  # deferred: planner builds on this module
-
-        feasible = plan.n >= planner.min_transmit_blocklength(plan.epsilon) and (
-            planner._meets_supply_target(plan.m, plan.n, p_t, net, plan.epsilon)
+        feasible = plan.n >= single_pb.min_transmit_blocklength(plan.epsilon) and (
+            _meets_supply_target(plan.m, plan.n, p_t, net, plan.epsilon)
         )
     return single_pb._rate_result(raw, feasible)

@@ -23,12 +23,14 @@ __all__ = [
     "BlocklengthPlan",
     "RateResult",
     "SearchError",
+    "UnsatisfiableError",
     "energy_supply_prob",
     "energy_outage_prob",
     "within_derivation_domain",
     "min_power_ratio",
     "asymptotic_supply_limit",
     "transmit_floor",
+    "min_transmit_blocklength",
     "harvest_floor_real",
     "harvest_len_feasible_at_floor",
     "transmit_len_within_energy_cap",
@@ -61,6 +63,10 @@ class DomainError(ValueError):
 
 class SearchError(RuntimeError):
     """Raised when a numerical search cannot produce a meaningful result."""
+
+
+class UnsatisfiableError(RuntimeError):
+    """No harvest blocklength up to the search cap meets the constraint."""
 
 
 # =============================================================================
@@ -247,10 +253,21 @@ def transmit_floor(epsilon: float) -> float:
 
     Returns (ln((2+eps)/eps^2))^4, taken as a difference of logarithms so
     that eps^2 cannot underflow. The operational (integer, even) floor is
-    provided by the planner module.
+    :func:`min_transmit_blocklength`.
     """
     _check_epsilon(epsilon)
     return (math.log(2.0 + epsilon) - 2.0 * math.log(epsilon)) ** 4
+
+
+def min_transmit_blocklength(epsilon: float) -> int:
+    """Shortest even transmit blocklength admitted by the error target.
+
+    The real-valued floor (ln((2+eps)/eps^2))^4 is rounded to the nearest
+    integer and then pushed up to the next even value, with 2 as the
+    smallest possible answer.
+    """
+    n = max(int(math.floor(transmit_floor(epsilon) + 0.5)), 2)
+    return n + 1 if n % 2 else n
 
 
 def harvest_floor_real(n: float, a: float, epsilon: float) -> float:
@@ -277,6 +294,13 @@ def _harvest_floor(a: float, growth: float) -> float:
     if a == 0.0:
         return 0.0
     return 2.0 * a / growth if growth > 0.0 else math.inf
+
+
+def _harvest_len(floor: float, n: int, a: float, epsilon: float) -> int:
+    """The harvest length of a real floor: its ceiling, unless it overflowed."""
+    if floor == math.inf:
+        raise UnsatisfiableError(f"harvest floor overflows for n={n!r}, a={a!r}, eps={epsilon!r}")
+    return math.ceil(floor)
 
 
 def harvest_len_feasible_at_floor(m: float, a: float, epsilon: float) -> bool:
@@ -317,9 +341,7 @@ def _operational_feasible(m: int, n: int, a: float, epsilon: float) -> bool:
     floor, so that minimum-latency plans validate their own feasibility."""
     if epsilon == 0.0:
         return a == 0.0
-    from . import planner  # deferred: planner builds on this module
-
-    n_floor = planner.min_transmit_blocklength(epsilon)
+    n_floor = min_transmit_blocklength(epsilon)
     return (
         m >= harvest_floor_real(n_floor, a, epsilon)
         and transmit_len_within_energy_cap(n, m, a, epsilon)
@@ -463,16 +485,14 @@ def _rate_probe(epsilon: float, p_e: float, sigma2: float):
     eps), n, eps), LinkParams(p_t, p_e, sigma2)).rate_nats`` for the shortest
     even n, bit for bit. n, the harvest floor's growth term and the checks of
     eps, p_e and sigma2 are taken once here, so a probe is plain arithmetic."""
-    from . import planner  # deferred: planner builds on this module
-
-    n = planner.min_transmit_blocklength(epsilon)
+    n = min_transmit_blocklength(epsilon)
     _check_positive("p_e", p_e, finite=True)
     _check_positive("sigma2", sigma2, finite=True)
     growth = _floor_growth(n, epsilon)
 
     def rate_at(p_t: float) -> float:
         a = p_t / p_e
-        m = planner._harvest_len(_harvest_floor(a, growth), n, a, epsilon)
+        m = _harvest_len(_harvest_floor(a, growth), n, a, epsilon)
         raw = _raw_rate_nats(m, n, p_t / sigma2, epsilon)
         return 0.0 if raw < 0.0 else raw
 

@@ -2,7 +2,9 @@
 # package, one test per claim. The heaviest checks are the beacon-field
 # Monte Carlo run and the high-precision differentiation oracle.
 
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ def test_optimal_power_reproduces_reference_value():
 
 
 def test_min_transmit_blocklength_value():
-    assert planner.min_transmit_blocklength(0.05) == 2026
+    assert single_pb.min_transmit_blocklength(0.05) == 2026
 
 
 # ----------------------------------------------------------------
@@ -190,7 +192,7 @@ def test_rate_vs_power_ratio_unimodal():
     # region where the rate is positive
     grids = {1e-3: 5e-3, 1e-2: 1.5e-3, 1e-1: 2e-3}
     for eps, a_left in grids.items():
-        n = planner.min_transmit_blocklength(eps)
+        n = single_pb.min_transmit_blocklength(eps)
         rates = []
         for i in range(41):
             a = a_left * (1.0 / a_left) ** (i / 40.0)
@@ -212,7 +214,7 @@ def test_rate_vs_power_ratio_unimodal():
 
 def _fixed_vs_optimal_gap(eps: float) -> float:
     p_asym = single_pb.optimal_power_asymptotic(PE_REF, 1.0, eps)
-    n = planner.min_transmit_blocklength(eps)
+    n = single_pb.min_transmit_blocklength(eps)
     m = planner.min_harvest_blocklength(n, p_asym / PE_REF, eps)
     plan = single_pb.BlocklengthPlan(m=m, n=n, epsilon=eps)
     rate_asym = single_pb.achievable_rate_fbl(
@@ -300,3 +302,38 @@ def test_limit_laws_prefix_final_counts():
 def test_every_exported_name_is_bound(module):
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert not missing, missing
+
+
+# The package's modules, each importing only those before it.
+MODULE_STACK = ["single_pb", "multi_pb", "montecarlo", "planner", "cli"]
+
+
+def package_imports(tree):
+    """Names of the package modules that a module's import statements load."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                names.add(node.module.split(".")[0])
+            else:
+                names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("wplink."):
+            names.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            names.update(a.name.split(".")[1] for a in node.names if a.name.startswith("wplink."))
+    return names
+
+
+def test_modules_import_one_way_at_top_level():
+    sources = pathlib.Path(wplink.__file__).parent.glob("*.py")
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sources}
+    assert set(trees) == set(MODULE_STACK) | {"__init__"}
+    imports = (ast.Import, ast.ImportFrom)
+    for name, tree in trees.items():
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested = [node.lineno for node in ast.walk(func) if isinstance(node, imports)]
+                assert not nested, f"{name}.{func.name} imports at line(s) {nested}"
+    for i, name in enumerate(MODULE_STACK):
+        later = package_imports(trees[name]) - set(MODULE_STACK[:i])
+        assert not later, f"{name} imports {sorted(later)}, which come after it"

@@ -3,6 +3,9 @@
 # covers the module entry point.
 
 import hashlib
+import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
@@ -102,6 +105,24 @@ def test_sweep_over_n_rounds_odd_values_up(capsys):
         )
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["pes", "-m", "100", "-a", "0.1", "--sweep", "n:-10:2:3"],
+         "transmit blocklength n must be an even integer >= 2, got -10"),
+        (["pes", "-n", "4", "-a", "0.1", "--sweep", "m:-5:5:3"],
+         "harvest blocklength m must be an integer >= 1, got -5"),
+    ],
+    ids=["n-below-2", "m-below-1"],
+)
+def test_count_sweep_below_domain_is_one_error_line(capsys, argv, message):
+    # these rows were evaluated at the clamped counts n = 2 and m = 1
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_sweep_log_spacing(capsys):
     _, out, _ = run_cli(
         capsys, "pes", "-m", "100", "-n", "50", "--sweep", "a:0.01:1:3:log"
@@ -127,6 +148,25 @@ def test_rate_row_matches_library(capsys):
     expected = single_pb.achievable_rate_fbl(plan, link)
     assert float(body[0][3]) == pytest.approx(expected.rate_bits, rel=1e-11)
     assert body[0][5] == "true"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["-a", "0.001"],
+        ["-m", "100", "-a", "0.001"],
+        ["--mode", "multi", "--pt", "1", "--lambda", "5e-3", "--ppb", "1e3"],
+        ["--mode", "multi", "-m", "9000", "--pt", "1", "--lambda", "5e-3", "--ppb", "1e3"],
+    ],
+    ids=["single", "single-with-m", "multi", "multi-with-m"],
+)
+def test_rate_odd_n_is_domain_error(capsys, argv):
+    # with -m given, an odd -n was rounded up by BlocklengthPlan while the
+    # row still printed the odd n
+    code, out, err = run_cli(capsys, "rate", "--eps", "0.05", "-n", "2027", *argv)
+    assert code == 3
+    assert out == ""
+    assert err == "error: transmit blocklength n must be an even integer >= 2, got 2027\n"
 
 
 def test_rate_infeasible_row_has_empty_rate(capsys):
@@ -444,3 +484,46 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "m,n,a,pes\n2,2,1,0.5\n"
+
+
+# ----------------------------------------------------------------
+# README examples
+
+
+README = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+
+
+def readme_examples():
+    """(argv, shown stdout lines) of every ``$ wplink ...`` line in the
+    README's code blocks; the shown lines run to the next blank or ``$`` line."""
+    examples = []
+    for block in re.findall(r"^```[^\n]*\n(.*?)^```", README, re.M | re.S):
+        lines = block.splitlines()
+        for i, line in enumerate(lines):
+            if not line.startswith("$ wplink "):
+                continue
+            shown = []
+            for follow in lines[i + 1 :]:
+                if not follow or follow.startswith("$ "):
+                    break
+                shown.append(follow)
+            examples.append((shlex.split(line[len("$ wplink "):], comments=True), shown))
+    return examples
+
+
+EXAMPLES = readme_examples()
+
+
+def test_readme_lists_examples():
+    assert len(EXAMPLES) == 12
+
+
+@pytest.mark.parametrize("argv, shown", EXAMPLES, ids=[" ".join(a) for a, _ in EXAMPLES])
+def test_readme_example_reproduces(tmp_path, monkeypatch, capsys, argv, shown):
+    config = re.search(r"^```\n(# link\.cfg\n.*?)^```", README, re.M | re.S)
+    (tmp_path / "link.cfg").write_text(config.group(1), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    if shown:  # the config examples show no output
+        assert out.splitlines() == shown

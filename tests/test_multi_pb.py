@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wplink import multi_pb
+from wplink import multi_pb, planner
 from wplink.multi_pb import (
     LaplaceDerivs,
     NetworkParams,
@@ -18,7 +18,12 @@ from wplink.multi_pb import (
     laplace_z,
     mean_harvested,
 )
-from wplink.single_pb import BlocklengthPlan, LinkParams, achievable_rate_fbl
+from wplink.single_pb import (
+    BlocklengthPlan,
+    LinkParams,
+    achievable_rate_fbl,
+    min_transmit_blocklength,
+)
 from wplink.single_pb import DomainError
 
 NET = NetworkParams(density=1e-3, p_pb=1e3, mu=1.0, eta=3.6)
@@ -420,7 +425,7 @@ def test_supply_mp_fft_series_matches_direct_loop(eta):
 
 def test_supply_slope_matches_finite_difference():
     # d ln(outage)/d ln u = -(n/2) T_{n/2} / sum_{i<n/2} T_i drives the
-    # planner's Newton steps; check it against a central difference in ln u
+    # threshold solve's Newton steps; check it against a central difference in ln u
     for net, count, u in ((NET, 1000, 5e5), (NET_DENSE, 50, 2e3), (NET, 1, 40.0)):
         _, _, slope = multi_pb._supply_and_slope(count, u, net)
         h = 1e-5
@@ -487,9 +492,7 @@ def test_rate_mp_feasibility_gate():
     short = BlocklengthPlan(m=10**6, n=1000, epsilon=eps)
     assert not achievable_rate_mp(short, 1e-6, 1.0, NET).feasible
     # at the floor with a generous harvest phase: feasible
-    from wplink import planner
-
-    n = planner.min_transmit_blocklength(eps)
+    n = min_transmit_blocklength(eps)
     m = planner.min_harvest_blocklength_mp(n, 1.0, NET, eps)
     good = BlocklengthPlan(m=m, n=n, epsilon=eps)
     assert achievable_rate_mp(good, 1.0, 1.0, NET).feasible

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from wplink import multi_pb, planner, single_pb
-from wplink.planner import UnsatisfiableError
+from wplink.single_pb import UnsatisfiableError
 from wplink.single_pb import DomainError
 
 
@@ -14,30 +14,30 @@ from wplink.single_pb import DomainError
 
 
 def test_min_transmit_blocklength_known_values():
-    assert planner.min_transmit_blocklength(0.05) == 2026
-    assert planner.min_transmit_blocklength(1e-3) == 44318
+    assert single_pb.min_transmit_blocklength(0.05) == 2026
+    assert single_pb.min_transmit_blocklength(1e-3) == 44318
 
 
 def test_min_transmit_blocklength_rounding_and_parity():
     # eps = 0.9 gives a real floor ~2.65, rounding to 3, bumped even to 4
-    assert planner.min_transmit_blocklength(0.9) == 4
+    assert single_pb.min_transmit_blocklength(0.9) == 4
     for eps in (1e-4, 1e-3, 0.01, 0.05, 0.3, 0.9):
-        n = planner.min_transmit_blocklength(eps)
+        n = single_pb.min_transmit_blocklength(eps)
         assert n % 2 == 0 and n >= 2
         # within one even step of the real-valued floor
         assert abs(n - single_pb.transmit_floor(eps)) <= 2.0
 
 
 def test_min_transmit_blocklength_decreases_with_epsilon():
-    values = [planner.min_transmit_blocklength(e) for e in (1e-4, 1e-3, 0.05, 0.5)]
+    values = [single_pb.min_transmit_blocklength(e) for e in (1e-4, 1e-3, 0.05, 0.5)]
     assert values == sorted(values, reverse=True)
 
 
 def test_min_transmit_blocklength_validation():
     with pytest.raises(DomainError):
-        planner.min_transmit_blocklength(0.0)
+        single_pb.min_transmit_blocklength(0.0)
     with pytest.raises(DomainError):
-        planner.min_transmit_blocklength(1.0)
+        single_pb.min_transmit_blocklength(1.0)
 
 
 # ----------------------------------------------------------------
@@ -68,7 +68,7 @@ def test_min_harvest_blocklength_overflow_is_unsatisfiable():
     for n, a, eps in ((2026, math.inf, 0.05), (2026, 1e308, 0.05), (2026, 0.1, 5e-324)):
         with pytest.raises(UnsatisfiableError):
             planner.min_harvest_blocklength(n, a, eps)
-    n = planner.min_transmit_blocklength(1e-300)
+    n = single_pb.min_transmit_blocklength(1e-300)
     with pytest.raises(UnsatisfiableError):
         planner.min_harvest_blocklength(n, 0.1, 1e-300)
 
@@ -147,7 +147,7 @@ def test_min_harvest_mp_unsatisfiable(monkeypatch):
 def test_min_harvest_mp_matches_bisection(n):
     # Same m as the bisection on every grid point. Within one (n, field,
     # eps) every p_t after the first is served by the cached threshold.
-    planner._THRESHOLDS.clear()
+    multi_pb._threshold.cache_clear()
     for net in (NET, NET_DENSE):
         for eps in (1e-3, 0.05, 0.5):
             for p_t in (0.1, 10**0.5, 100.0):
@@ -157,7 +157,7 @@ def test_min_harvest_mp_matches_bisection(n):
 
 def test_min_harvest_mp_reuses_threshold(monkeypatch):
     # one threshold solve serves every p_t of the scan and the rate gate
-    planner._THRESHOLDS.clear()
+    multi_pb._threshold.cache_clear()
     calls = count_series(monkeypatch)
     eps, n = 0.05, 2026
     first = planner.min_harvest_blocklength_mp(n, 1.0, NET_DENSE, eps)

@@ -180,7 +180,7 @@ def test_transmit_floor_is_finite_for_tiny_epsilon():
     for eps in (1e-155, 1e-300, 5e-324):
         exact = mp.log((2 + mp.mpf(eps)) / mp.mpf(eps) ** 2) ** 4
         assert transmit_floor(eps) == pytest.approx(float(exact), rel=1e-14)
-        assert planner.min_transmit_blocklength(eps) % 2 == 0
+        assert single_pb.min_transmit_blocklength(eps) % 2 == 0
 
 
 def test_harvest_floor_real_basics():
@@ -274,7 +274,7 @@ def test_rate_zero_power():
 
 def test_rate_feasibility_flag():
     eps, p_e = 0.05, 1.0
-    n = planner.min_transmit_blocklength(eps)
+    n = single_pb.min_transmit_blocklength(eps)
     p_t = 0.5
     m = planner.min_harvest_blocklength(n, p_t / p_e, eps)
     link = LinkParams(p_t=p_t, p_e=p_e)
@@ -357,7 +357,7 @@ def test_optimal_power_small_budget_branch():
 
 def _replanned_rate(p_t, p_e, sigma2, eps):
     """optimal_power_fbl's objective, through the public API."""
-    n = planner.min_transmit_blocklength(eps)
+    n = single_pb.min_transmit_blocklength(eps)
     plan = BlocklengthPlan(planner.min_harvest_blocklength(n, p_t / p_e, eps), n, eps)
     return achievable_rate_fbl(plan, LinkParams(p_t, p_e, sigma2)).rate_nats
 
@@ -437,9 +437,9 @@ def test_rate_probe_keeps_unsatisfiable_error(eps, p_e, p_t):
     # the harvest floor overflows: both paths raise the same error, except at
     # a = 0, where no harvest is needed
     assert single_pb._rate_probe(eps, p_e, 1.0)(0.0) == _replanned_rate(0.0, p_e, 1.0, eps)
-    with pytest.raises(planner.UnsatisfiableError) as public:
+    with pytest.raises(single_pb.UnsatisfiableError) as public:
         _replanned_rate(p_t, p_e, 1.0, eps)
-    with pytest.raises(planner.UnsatisfiableError, match="harvest floor overflows") as probe:
+    with pytest.raises(single_pb.UnsatisfiableError, match="harvest floor overflows") as probe:
         single_pb._rate_probe(eps, p_e, 1.0)(p_t)
     assert str(probe.value) == str(public.value)
 
