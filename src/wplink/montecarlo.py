@@ -1,18 +1,20 @@
 """Stochastic oracles for the closed forms.
 
 Every estimator here simulates the model directly — exponential energy
-packets or a planar Poisson beacon field, and codeword energy as a sum of
-squared Gaussian symbols — so agreement with the analytic modules is
+packets or a planar Poisson beacon field, and codeword energy as p_t times a
+chi-squared(n) variate — so agreement with the analytic modules is
 evidence, not circularity.
 
-Determinism contract v1: draws come from counter-based Philox streams.
+Determinism contract v2: draws come from counter-based Philox streams.
 Trials are processed in fixed blocks of :data:`BLOCK` trials; block ``b`` of
 seed ``s`` uses the 128-bit key ``(s << 64) | b``, and within a block the
-draw order is fixed (energy variables first, then channel symbols in chunks
-of 256). Estimates are therefore bit-identical for a given (seed,
-parameters) regardless of how blocks are scheduled. Every stream comes from
-one generator of blocks, :func:`_blocks`, and every codeword from
-:func:`_codeword_energies`.
+draw order is fixed: the harvest draw first, then the codeword energies.
+The supply estimators draw each codeword's energy as one
+``2 * standard_gamma(n / 2)`` variate; :func:`check_prefix_equivalence`
+needs running sums, so it draws the symbols themselves, as standard normals
+in chunks of 256. Estimates are therefore bit-identical for a given
+(seed, parameters) regardless of how blocks are scheduled. Every stream
+comes from one generator of blocks, :func:`_blocks`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multi_pb import NetworkParams
+from .multi_pb import NetworkParams, StabilityError
 from .single_pb import DomainError, _check_count, _check_positive, _check_power
 
 __all__ = [
@@ -42,6 +44,13 @@ _SYMBOL_CHUNK = 256
 # For Poisson-field sampling, the admissible ratio of neglected far-field
 # mean energy to the total mean (see truncation_radius).
 _TRUNCATION_TAIL = 1e-4
+
+# Most beacons one block of the field may expect. Each beacon costs a few
+# float64 temporaries in _ppp_block (about 40 bytes at the peak), so 2**24
+# keeps a block's draws near 700 MB, while the densest field the tests and
+# `validate` sample (density 1e-2 at eta = 3.6, about 6.2e6 beacons per
+# full block) runs with room to spare.
+_BLOCK_BEACON_CAP = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -87,26 +96,24 @@ def _check_frame(m: int, n: int, p_t: float) -> tuple[int, int]:
 
 
 def _codeword_energies(
-    rng: np.random.Generator, size: int, n: int, p_t: float, budget: np.ndarray | None
+    rng: np.random.Generator, size: int, n: int, p_t: float, budget: np.ndarray
 ):
-    """Total codeword energy per trial; optionally also prefix violations.
+    """Total codeword energy per trial, and whether any running prefix of it
+    exceeded ``budget``.
 
     Symbols are drawn as standard normals in fixed chunks and squared, so
-    the per-trial energy is p_t times a chi-squared(n) sum. When ``budget``
-    is given, also reports whether any running prefix of the cumulative
-    energy exceeded it (possible only where the total does, since the
-    cumulative energy never decreases).
+    the per-trial energy is p_t times a chi-squared(n) sum. A prefix can
+    exceed the budget only where the total does, since the cumulative
+    energy never decreases.
     """
     total = np.zeros(size)
-    prefix_violated = np.zeros(size, dtype=bool) if budget is not None else None
+    prefix_violated = np.zeros(size, dtype=bool)
     done = 0
     while done < n:
         chunk = min(_SYMBOL_CHUNK, n - done)
-        x = rng.standard_normal((size, chunk))
-        energies = p_t * np.square(x)
-        if budget is not None:
-            running = total[:, None] + np.cumsum(energies, axis=1)
-            prefix_violated |= (running > budget[:, None]).any(axis=1)
+        energies = p_t * np.square(rng.standard_normal((size, chunk)))
+        running = total[:, None] + np.cumsum(energies, axis=1)
+        prefix_violated |= (running > budget[:, None]).any(axis=1)
         total += energies.sum(axis=1)
         done += chunk
     return total, prefix_violated
@@ -117,12 +124,13 @@ def _supply_estimate(m: int, n: int, p_t: float, cfg: McConfig, harvest) -> McEs
     codeword, with its binomial standard error.
 
     Per block, ``harvest(rng, size)`` draws the per-slot energies first;
-    the codeword symbols follow from the same stream.
+    the codeword energies, p_t times a chi-squared(n) variate each, follow
+    from the same stream.
     """
     count = 0
     for rng, size in _blocks(cfg.seed, cfg.trials):
         budget = m * harvest(rng, size)
-        total, _ = _codeword_energies(rng, size, n, p_t, None)
+        total = p_t * (2.0 * rng.standard_gamma(0.5 * n, size))
         count += int((total <= budget).sum())
     p = count / cfg.trials
     return McEstimate(
@@ -139,8 +147,8 @@ def estimate_supply_prob_single(
     """Empirical probability that harvested energy covers the codeword.
 
     Per trial: one exponential energy packet of mean ``p_e`` scaled by the
-    ``m`` harvesting slots, against the summed squared-Gaussian symbol
-    energies of an ``n``-slot codeword at power ``p_t``.
+    ``m`` harvesting slots, against the chi-squared(n) energy of an
+    ``n``-slot codeword of unit-variance Gaussian symbols at power ``p_t``.
     """
     m, n = _check_frame(m, n, p_t)
     _check_positive("p_e", p_e)
@@ -179,9 +187,32 @@ def truncation_radius(net: NetworkParams) -> float:
     :data:`_TRUNCATION_TAIL` of the total mean gives
     R = (2/(eta*tail))^(1/(eta-2)), independent of density and beacon power.
     Never below the unit disk.
+
+    Raises:
+        StabilityError: If R leaves the double range (eta close to 2).
     """
-    r = (2.0 / (net.eta * _TRUNCATION_TAIL)) ** (1.0 / (net.eta - 2.0))
+    try:
+        r = (2.0 / (net.eta * _TRUNCATION_TAIL)) ** (1.0 / (net.eta - 2.0))
+    except OverflowError:
+        raise StabilityError(f"sampling radius overflows at eta={net.eta!r}") from None
     return max(r, 1.0)
+
+
+def _sampling_radius(net: NetworkParams, trials: int) -> float:
+    """:func:`truncation_radius`, once the field is known to fit in a block.
+
+    Raises:
+        StabilityError: If one block of ``trials`` expects more than
+            :data:`_BLOCK_BEACON_CAP` beacons in the disk.
+    """
+    radius = truncation_radius(net)
+    expected = net.density * math.pi * radius * radius * min(BLOCK, trials)
+    if expected > _BLOCK_BEACON_CAP:
+        raise StabilityError(
+            f"field too dense to sample: {expected:.3g} beacons expected per block, "
+            f"cap {_BLOCK_BEACON_CAP}"
+        )
+    return radius
 
 
 def _far_field_mean(net: NetworkParams, radius: float) -> float:
@@ -213,7 +244,7 @@ def _ppp_block(rng: np.random.Generator, size: int, net: NetworkParams, radius: 
 def sample_ppp_energies(net: NetworkParams, cfg: McConfig, count: int) -> np.ndarray:
     """Batch of ``count`` per-slot harvested energy draws (deterministic)."""
     count = _check_count("count", count)
-    radius = truncation_radius(net)
+    radius = _sampling_radius(net, count)
     blocks = _blocks(cfg.seed, count)
     return np.concatenate([_ppp_block(rng, size, net, radius) for rng, size in blocks])
 
@@ -227,5 +258,5 @@ def estimate_supply_prob_mp(
     slots, against a chi-squared(n) codeword energy at power ``p_t``.
     """
     m, n = _check_frame(m, n, p_t)
-    radius = truncation_radius(net)
+    radius = _sampling_radius(net, cfg.trials)
     return _supply_estimate(m, n, p_t, cfg, lambda rng, size: _ppp_block(rng, size, net, radius))

@@ -329,6 +329,10 @@ def test_zero_harvested_power_is_domain_error(capsys):
     assert err == "error: p_e must be > 0, got 0.0\n"
 
 
+FIELD_MC = ["pes", "--mode", "multi", "-m", "100", "-n", "10", "--pt", "1",
+            "--lambda", "1e-3", "--ppb", "1e3"]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -339,13 +343,20 @@ def test_zero_harvested_power_is_domain_error(capsys):
         (["validate", "--mc-trials", "0"], "trials must be an integer >= 2"),
         (["pes", "-m", "100", "-n", "50", "-a", "0.1", "--mc-trials", "0"],
          "trials must be an integer >= 1"),
+        (FIELD_MC + ["--eta", "2.01", "--mc-trials", "1"], "sampling radius overflows"),
+        (FIELD_MC + ["--eta", "2.2", "--mc-trials", "1"], "field too dense to sample"),
+        (FIELD_MC + ["--lambda", "1e100", "--mc-trials", "10"], "field too dense to sample"),
+        (FIELD_MC + ["--eta", "3", "--mc-trials", "100000"], "field too dense to sample"),
     ],
     ids=["optpower-pe-inf", "optpower-budget-overflow", "optpower-bracket-underflow",
          "validate-1-trial",
-         "validate-0-trials", "pes-0-trials"],
+         "validate-0-trials", "pes-0-trials",
+         "field-radius-overflow", "field-poisson-overflow", "field-dense",
+         "field-block-too-large"],
 )
 def test_out_of_range_input_is_one_error_line(capsys, argv, message):
-    # these printed nan, ran 20 000 trials or dropped the MC columns
+    # these printed nan, ran 20 000 trials, dropped the MC columns, raised
+    # from the field sampler or tried a multi-GB allocation
     code, out, err = run_cli(capsys, *argv)
     assert code == 3
     assert out == ""

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from wplink.montecarlo import (
+    BLOCK,
     McConfig,
     McEstimate,
     check_prefix_equivalence,
@@ -15,7 +16,7 @@ from wplink.montecarlo import (
     sample_ppp_energies,
     truncation_radius,
 )
-from wplink.multi_pb import NetworkParams, energy_supply_prob_mp, mean_harvested
+from wplink.multi_pb import NetworkParams, StabilityError, energy_supply_prob_mp, mean_harvested
 from wplink.single_pb import energy_supply_prob
 from wplink.single_pb import DomainError
 
@@ -48,14 +49,28 @@ def test_same_seed_reproduces_bitwise():
 
 
 def test_streams_match_frozen_values():
-    # Determinism contract v1, frozen: seed 7 with 10 000 trials spans two
-    # full blocks and a partial third one.
+    # Determinism contract v2, frozen: seed 7 with 10 000 trials spans two
+    # full blocks and a partial third one. The prefix check and the field
+    # sampler keep their v1 streams.
     cfg = McConfig(trials=10_000, seed=7)
     assert estimate_supply_prob_single(100, 50, 0.1, 1.0, cfg).mean == 0.9546
-    assert estimate_supply_prob_mp(1500, 1000, 1.0, NET, cfg).mean == 0.1705
+    assert estimate_supply_prob_mp(1500, 1000, 1.0, NET, cfg).mean == 0.1697
     assert check_prefix_equivalence(10, 20, 0.5, 1.0, cfg) == (6188, 6188)
     total = sample_ppp_energies(NET, cfg, 10_000).sum()
     assert total == pytest.approx(83091.98217185156, rel=1e-12)
+
+
+def test_v2_layout_rederived_by_hand():
+    # One partial block: the exponential harvest draw, then one
+    # standard_gamma draw per codeword, from the block's own Philox stream.
+    m, n, p_t, p_e, seed, trials = 40, 30, 0.3, 1.0, 23, 3_000
+    rng = np.random.Generator(np.random.Philox(key=(seed << 64) | 0))
+    budget = m * rng.exponential(scale=p_e, size=trials)
+    energy = p_t * (2.0 * rng.standard_gamma(0.5 * n, trials))
+    count = int((energy <= budget).sum())
+    assert 0 < count < trials
+    est = estimate_supply_prob_single(m, n, p_t, p_e, McConfig(trials=trials, seed=seed))
+    assert est.mean == count / trials
 
 
 def test_different_seeds_differ():
@@ -80,6 +95,16 @@ def test_single_supply_matches_closed_form():
     for m, n, a in ((100, 50, 0.1), (2, 2, 1.0), (10, 100, 0.05)):
         est = estimate_supply_prob_single(m, n, a, 1.0, cfg)
         assert _z(est, energy_supply_prob(m, n, a)) < 3.0
+
+
+@pytest.mark.parametrize("m, n, a", [(2, 1, 3.0), (10, 7, 1.0), (1000, 10 ** 6, 7e-4)])
+def test_single_supply_matches_closed_form_at_any_n(m, n, a):
+    # (1 + 2a/m)^(-n/2) holds for any n >= 1, odd or far past the symbol
+    # path's reach (10**6 symbols per trial)
+    est = estimate_supply_prob_single(m, n, a, 1.0, McConfig(trials=100_000, seed=0))
+    truth = (1.0 + 2.0 * a / m) ** (-n / 2)
+    assert 0.05 < truth < 0.95
+    assert _z(est, truth) < 3.0
 
 
 def test_single_supply_zero_power_is_certain():
@@ -115,6 +140,33 @@ def test_truncation_radius_formula():
     assert truncation_radius(other) == r
     # never collapses below the unit disc where path loss saturates
     assert truncation_radius(NetworkParams(density=1e-3, p_pb=1e3, eta=1e5)) == 1.0
+
+
+def test_truncation_radius_overflow_is_stability_error():
+    with pytest.raises(StabilityError, match="sampling radius overflows"):
+        truncation_radius(NetworkParams(density=1e-3, p_pb=1e3, eta=2.01))
+
+
+@pytest.mark.parametrize(
+    "density, eta",
+    [(1e-3, 2.2), (1e100, 3.6), (1e-3, 3.0)],
+    ids=["poisson-overflow", "dense", "block-too-large"],
+)
+def test_too_dense_field_is_stability_error(density, eta):
+    # refused before any draw: the expected beacons of one full block pass
+    # the cap
+    net = NetworkParams(density=density, p_pb=1e3, eta=eta)
+    cfg = McConfig(trials=BLOCK, seed=0)
+    with pytest.raises(StabilityError, match="field too dense to sample"):
+        sample_ppp_energies(net, cfg, BLOCK)
+    with pytest.raises(StabilityError, match="field too dense to sample"):
+        estimate_supply_prob_mp(100, 10, 1.0, net, cfg)
+
+
+def test_block_cap_counts_only_the_trials_drawn():
+    # at eta = 3 a full block expects 5.7e8 beacons, a single trial 1.4e5
+    net = NetworkParams(density=1e-3, p_pb=1e3, eta=3.0)
+    assert sample_ppp_energies(net, McConfig(trials=1, seed=0), 1).shape == (1,)
 
 
 def test_ppp_mean_matches_closed_form():
