@@ -561,12 +561,13 @@ def cmd_validate(args) -> int:
     pc, fc = montecarlo.check_prefix_equivalence(10, 20, 0.5, 1.0, cfg)
     checks.append(("prefix_equals_final", pc == fc, f"prefix={pc} final={fc}"))
 
-    z = montecarlo.sample_ppp_energies(net, cfg, trials)
+    # One field sample serves the next three checks: the supply estimate's
+    # harvest draws are the field energies themselves.
+    est, z = montecarlo._field_supply(1500, 1000, 1.0, net, cfg)
     checks.append(_sample_mean("ppp_mean_vs_closed_form", multi_pb.mean_harvested(net), z))
     s = 0.5
     checks.append(_sample_mean("laplace_vs_mc", multi_pb.laplace_z(s, net), np.exp(-s * z)))
 
-    est = montecarlo.estimate_supply_prob_mp(1500, 1000, 1.0, net, cfg)
     analytic = multi_pb.energy_supply_prob_mp(1500, 1000, 1.0, net)
     checks.append(_band_check("multi_supply_vs_mc", analytic, est.mean, est.std_err))
 

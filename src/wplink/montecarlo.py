@@ -45,11 +45,12 @@ _SYMBOL_CHUNK = 256
 # mean energy to the total mean (see truncation_radius).
 _TRUNCATION_TAIL = 1e-4
 
-# Most beacons one block of the field may expect. Each beacon costs a few
-# float64 temporaries in _ppp_block (about 40 bytes at the peak), so 2**24
-# keeps a block's draws near 700 MB, while the densest field the tests and
-# `validate` sample (density 1e-2 at eta = 3.6, about 6.2e6 beacons per
-# full block) runs with room to spare.
+# Most beacons one block of the field may expect. Each beacon costs three
+# 8-byte arrays in _ppp_block (24 bytes at the peak, measured with
+# ru_maxrss on the density 1e-2 block), so 2**24 keeps a block's draws near
+# 400 MB, while the densest field the tests and `validate` sample (density
+# 1e-2 at eta = 3.6, about 6.2e6 beacons per full block) runs with room to
+# spare.
 _BLOCK_BEACON_CAP = 2 ** 24
 
 
@@ -233,10 +234,18 @@ def _ppp_block(rng: np.random.Generator, size: int, net: NetworkParams, radius: 
     """
     counts = rng.poisson(lam=net.density * math.pi * radius * radius, size=size)
     points = int(counts.sum())
-    # Uniform placement in the disk, then unit-mean exponential fades.
-    radii = radius * np.sqrt(rng.random(points))
-    fades = rng.standard_exponential(points)
-    contrib = net.mu * net.p_pb * fades / np.maximum(1.0, radii ** net.eta)
+    # Uniform placement in the disk, then unit-mean exponential fades. Each
+    # contribution is (mu*p_pb)*fade / max(1, (R*sqrt(u))^eta), evaluated in
+    # exactly that order, since the contract pins the field stream's bits,
+    # and inside the two draw buffers, so no temporary array is made.
+    radii = rng.random(points)
+    contrib = rng.standard_exponential(points)
+    np.sqrt(radii, out=radii)
+    radii *= radius
+    np.power(radii, net.eta, out=radii)
+    np.maximum(radii, 1.0, out=radii)
+    contrib *= net.mu * net.p_pb
+    contrib /= radii
     owner = np.repeat(np.arange(size), counts)
     return np.bincount(owner, weights=contrib, minlength=size) + _far_field_mean(net, radius)
 
@@ -260,3 +269,26 @@ def estimate_supply_prob_mp(
     m, n = _check_frame(m, n, p_t)
     radius = _sampling_radius(net, cfg.trials)
     return _supply_estimate(m, n, p_t, cfg, lambda rng, size: _ppp_block(rng, size, net, radius))
+
+
+def _field_supply(
+    m: int, n: int, p_t: float, net: NetworkParams, cfg: McConfig
+) -> tuple[McEstimate, np.ndarray]:
+    """:func:`estimate_supply_prob_mp` together with the per-slot field
+    energies it drew.
+
+    Each block draws its harvest first from the block's own key, so these
+    energies are exactly ``sample_ppp_energies(net, cfg, cfg.trials)``: one
+    pass over the field serves both. They are kept, so memory grows with
+    the trials.
+    """
+    m, n = _check_frame(m, n, p_t)
+    radius = _sampling_radius(net, cfg.trials)
+    kept = []
+
+    def harvest(rng: np.random.Generator, size: int) -> np.ndarray:
+        kept.append(_ppp_block(rng, size, net, radius))
+        return kept[-1]
+
+    est = _supply_estimate(m, n, p_t, cfg, harvest)
+    return est, np.concatenate(kept)

@@ -13,6 +13,7 @@ mean harvested power.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from scipy.special import lambertw
@@ -74,19 +75,38 @@ class UnsatisfiableError(RuntimeError):
 # =============================================================================
 
 
+# Largest count accepted: the closed forms and samplers convert counts to
+# float, so a larger integer would raise a bare OverflowError there. Held as
+# an int, since an int count compares with an int faster than with a float.
+_COUNT_MAX = int(sys.float_info.max)
+
+
+def _count_too_large(name: str, minimum: int) -> DomainError:
+    return DomainError(
+        f"{name} must be an integer >= {minimum} within the double range, "
+        f"got one above {_COUNT_MAX:.6g}"
+    )
+
+
 def _check_count(name: str, value, minimum: int = 1) -> int:
-    """A count: an integer >= ``minimum``, returned as an int. ``value % 1`` is
-    NaN for inf, so inf, NaN and fractions all fail without an OverflowError."""
+    """A count: an integer >= ``minimum`` and at most :data:`_COUNT_MAX`,
+    returned as an int. ``value % 1`` is NaN for inf, so inf, NaN and
+    fractions all fail without an OverflowError."""
     if not (value >= minimum and value % 1 == 0):
         raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    if value > _COUNT_MAX:
+        raise _count_too_large(name, minimum)
     return int(value)
 
 
 def _check_even_n(n) -> None:
-    """A transmit blocklength: an even integer >= 2, since the codeword
-    energy is a chi-squared(n) sum over n/2 complex symbols."""
+    """A transmit blocklength: an even integer >= 2 and at most
+    :data:`_COUNT_MAX`, since the codeword energy is a chi-squared(n) sum
+    over n/2 complex symbols."""
     if not (n >= 2 and n % 2 == 0):
         raise DomainError(f"transmit blocklength n must be an even integer >= 2, got {n!r}")
+    if n > _COUNT_MAX:
+        raise _count_too_large("transmit blocklength n", 2)
 
 
 def _check_epsilon(epsilon: float, zero_ok: bool = False) -> None:

@@ -10,6 +10,7 @@ from wplink.montecarlo import (
     BLOCK,
     McConfig,
     McEstimate,
+    _field_supply,
     check_prefix_equivalence,
     estimate_supply_prob_mp,
     estimate_supply_prob_single,
@@ -36,6 +37,8 @@ def test_config_validation():
         McConfig(trials=0)
     with pytest.raises(DomainError):
         McConfig(trials=100, seed=-1)
+    with pytest.raises(DomainError, match="within the double range"):
+        McConfig(trials=10 ** 400)
 
 
 def test_same_seed_reproduces_bitwise():
@@ -71,6 +74,39 @@ def test_v2_layout_rederived_by_hand():
     assert 0 < count < trials
     est = estimate_supply_prob_single(m, n, p_t, p_e, McConfig(trials=trials, seed=seed))
     assert est.mean == count / trials
+
+
+def test_field_layout_rederived_by_hand():
+    # One partial block of the field, from the block's own Philox stream:
+    # Poisson counts, then uniform radii, then exponential fades, each
+    # beacon's energy summed into its trial, plus the far-field mean. Exact,
+    # so any reordering of the sampler's arithmetic shows. mu = 0.7 is not a
+    # power of two, so a reordering of the mu*p_pb*fade product shows too.
+    net = NetworkParams(density=1e-3, p_pb=1e3, mu=0.7, eta=3.6)
+    seed, trials = 23, 3_000
+    rng = np.random.Generator(np.random.Philox(key=(seed << 64) | 0))
+    radius = truncation_radius(net)
+    counts = rng.poisson(lam=net.density * math.pi * radius * radius, size=trials)
+    radii = radius * np.sqrt(rng.random(int(counts.sum())))
+    fades = rng.standard_exponential(radii.size)
+    contrib = net.mu * net.p_pb * fades / np.maximum(1.0, radii ** net.eta)
+    owner = np.repeat(np.arange(trials), counts)
+    far = (
+        2.0 * math.pi * net.density * net.mu * net.p_pb
+        * radius ** (2.0 - net.eta) / (net.eta - 2.0)
+    )
+    expected = np.bincount(owner, weights=contrib, minlength=trials) + far
+    assert np.array_equal(sample_ppp_energies(net, McConfig(trials=1, seed=seed), trials), expected)
+
+
+def test_field_supply_shares_one_sample():
+    # Seed 7 with 10 000 trials: two full blocks and a partial one. The
+    # supply estimate draws each block's harvest first from the block's own
+    # key, so its harvest is the field sample itself, bit for bit.
+    cfg = McConfig(trials=10_000, seed=7)
+    est, energies = _field_supply(1500, 1000, 1.0, NET, cfg)
+    assert np.array_equal(energies, sample_ppp_energies(NET, cfg, 10_000))
+    assert est == estimate_supply_prob_mp(1500, 1000, 1.0, NET, cfg)
 
 
 def test_different_seeds_differ():

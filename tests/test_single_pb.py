@@ -87,7 +87,9 @@ COUNT_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("value", [math.inf, math.nan, 2.5], ids=["inf", "nan", "2.5"])
+@pytest.mark.parametrize(
+    "value", [math.inf, math.nan, 2.5, 10 ** 400], ids=["inf", "nan", "2.5", "1e400"]
+)
 @pytest.mark.parametrize(
     "entry, slot",
     [
@@ -100,7 +102,8 @@ COUNT_ENTRY_POINTS = {
 def test_count_rule_at_every_entry_point(entry, slot, value):
     # inf used to escape as a bare OverflowError, NaN as a ValueError, and
     # the Monte Carlo estimators took m = 2.5; a whole float is a count
-    # (n = 4.0 used to fail inside the series and the symbol draws)
+    # (n = 4.0 used to fail inside the series and the symbol draws); an
+    # integer past the double range mostly escaped as a bare OverflowError
     counts = {"m": 10, "n": 4, slot: value}
     COUNT_ENTRY_POINTS[entry](10.0, 4.0)
     with pytest.raises(DomainError, match="must be an (even )?integer >="):
