@@ -14,12 +14,16 @@ The supply estimators draw each codeword's energy as one
 needs running sums, so it draws the symbols themselves, as standard normals
 in chunks of 256. Estimates are therefore bit-identical for a given
 (seed, parameters) regardless of how blocks are scheduled. Every stream
-comes from one generator of blocks, :func:`_blocks`.
+comes from one block map, :func:`_map_blocks`: it runs the blocks on up to
+one thread per CPU the process may use, with no setting to change that, and
+reduces their results in block order, so no bit depends on the thread count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,13 +49,17 @@ _SYMBOL_CHUNK = 256
 # mean energy to the total mean (see truncation_radius).
 _TRUNCATION_TAIL = 1e-4
 
-# Most beacons one block of the field may expect. Each beacon costs three
-# 8-byte arrays in _ppp_block (24 bytes at the peak, measured with
-# ru_maxrss on the density 1e-2 block), so 2**24 keeps a block's draws near
-# 400 MB, while the densest field the tests and `validate` sample (density
-# 1e-2 at eta = 3.6, about 6.2e6 beacons per full block) runs with room to
-# spare.
+# Most beacons one block of the field may expect. A block in flight holds
+# 8 bytes per beacon for the radii, plus one fade chunk (see _ppp_block), so
+# 2**24 keeps each block's draws near 130 MB, while the densest field the
+# tests and `validate` sample (density 1e-2 at eta = 3.6, about 6.2e6
+# beacons per full block) runs with room to spare.
 _BLOCK_BEACON_CAP = 2 ** 24
+
+# Beacons per fade chunk of _ppp_block. A chunk holds whole trials, so it is
+# one trial's beacons where a trial holds more; the chunk then costs 16
+# bytes per beacon (fades and owners) on top of the radii.
+_FADE_CHUNK = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -82,12 +90,66 @@ class McEstimate:
     seed: int
 
 
-def _blocks(seed: int, trials: int):
-    """(generator, size) for each block of ``trials`` under the determinism
-    contract: block b of seed s draws from the Philox key (s << 64) | b."""
-    for block, start in enumerate(range(0, trials, BLOCK)):
-        rng = np.random.Generator(np.random.Philox(key=(seed << 64) | block))
-        yield rng, min(BLOCK, trials - start)
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _map_blocks(seed: int, trials: int, fn) -> list:
+    """``fn(rng, size, scratch)`` for each block of ``trials``, in block order.
+
+    Block b of seed s draws from the Philox key (s << 64) | b. Worker w runs
+    blocks w, w + W, w + 2W, ... with W = min(CPUs, blocks); the calling
+    thread is worker 0, so one block or one CPU starts no thread. ``scratch``
+    is a dict each worker keeps across its blocks, for reusable buffers.
+    After a block fails no worker starts a later block, and the failure of
+    the lowest block is raised, as a serial loop would raise it.
+    """
+    blocks = -(-trials // BLOCK)
+    workers = min(_available_cpus(), blocks)
+    results = [None] * blocks
+    errors = {}
+    failed = [blocks]  # lowest failed block so far
+    lock = threading.Lock()
+
+    def work(first: int) -> None:
+        scratch = {}
+        for block in range(first, blocks, workers):
+            if block > failed[0]:
+                return
+            rng = np.random.Generator(np.random.Philox(key=(seed << 64) | block))
+            try:
+                results[block] = fn(rng, min(BLOCK, trials - block * BLOCK), scratch)
+            except BaseException as exc:
+                with lock:
+                    errors[block] = exc
+                    failed[0] = min(failed[0], block)
+                return
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    try:
+        work(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[failed[0]]
+    return results
+
+
+def _buffer(scratch: dict, name: str, size: int) -> np.ndarray:
+    """The first ``size`` doubles of the worker's buffer ``name``. A buffer
+    too small is dropped and replaced with some headroom, so blocks of
+    about the same size share one."""
+    if name not in scratch or scratch[name].size < size:
+        scratch.pop(name, None)
+        scratch[name] = np.empty(size + (size >> 6))
+    return scratch[name][:size]
 
 
 def _check_frame(m: int, n: int, p_t: float) -> tuple[int, int]:
@@ -97,7 +159,7 @@ def _check_frame(m: int, n: int, p_t: float) -> tuple[int, int]:
 
 
 def _codeword_energies(
-    rng: np.random.Generator, size: int, n: int, p_t: float, budget: np.ndarray
+    rng: np.random.Generator, size: int, n: int, p_t: float, budget: np.ndarray, scratch: dict
 ):
     """Total codeword energy per trial, and whether any running prefix of it
     exceeded ``budget``.
@@ -105,41 +167,55 @@ def _codeword_energies(
     Symbols are drawn as standard normals in fixed chunks and squared, so
     the per-trial energy is p_t times a chi-squared(n) sum. A prefix can
     exceed the budget only where the total does, since the cumulative
-    energy never decreases.
+    energy never decreases. Each chunk's energies and running sums fill
+    the worker's two buffers in place, with the operations of
+    ``p_t * x**2`` and ``total + cumsum`` (both commute bit for bit).
     """
     total = np.zeros(size)
     prefix_violated = np.zeros(size, dtype=bool)
     done = 0
     while done < n:
         chunk = min(_SYMBOL_CHUNK, n - done)
-        energies = p_t * np.square(rng.standard_normal((size, chunk)))
-        running = total[:, None] + np.cumsum(energies, axis=1)
+        energies = _buffer(scratch, "symbols", size * chunk).reshape(size, chunk)
+        rng.standard_normal(out=energies)
+        np.square(energies, out=energies)
+        energies *= p_t
+        running = _buffer(scratch, "running", size * chunk).reshape(size, chunk)
+        np.cumsum(energies, axis=1, out=running)
+        running += total[:, None]
         prefix_violated |= (running > budget[:, None]).any(axis=1)
         total += energies.sum(axis=1)
         done += chunk
     return total, prefix_violated
 
 
-def _supply_estimate(m: int, n: int, p_t: float, cfg: McConfig, harvest) -> McEstimate:
+def _supply_estimate(
+    m: int, n: int, p_t: float, cfg: McConfig, harvest, keep: bool = False
+) -> tuple[McEstimate, np.ndarray | None]:
     """Fraction of trials in which ``m`` slots of harvested energy cover the
     codeword, with its binomial standard error.
 
-    Per block, ``harvest(rng, size)`` draws the per-slot energies first;
-    the codeword energies, p_t times a chi-squared(n) variate each, follow
-    from the same stream.
+    Per block, ``harvest(rng, size, scratch)`` draws the per-slot energies
+    first; the codeword energies, p_t times a chi-squared(n) variate each,
+    follow from the same stream. With ``keep`` the harvest energies come
+    back too, in trial order; without it, None, and memory does not grow
+    with the trials.
     """
-    count = 0
-    for rng, size in _blocks(cfg.seed, cfg.trials):
-        budget = m * harvest(rng, size)
+
+    def block(rng: np.random.Generator, size: int, scratch: dict):
+        energy = harvest(rng, size, scratch)
         total = p_t * (2.0 * rng.standard_gamma(0.5 * n, size))
-        count += int((total <= budget).sum())
-    p = count / cfg.trials
-    return McEstimate(
+        return int((total <= m * energy).sum()), energy if keep else None
+
+    counts, energies = zip(*_map_blocks(cfg.seed, cfg.trials, block))
+    p = sum(counts) / cfg.trials
+    est = McEstimate(
         mean=p,
         std_err=math.sqrt(p * (1.0 - p) / cfg.trials),
         trials=cfg.trials,
         seed=cfg.seed,
     )
+    return est, np.concatenate(energies) if keep else None
 
 
 def estimate_supply_prob_single(
@@ -154,8 +230,8 @@ def estimate_supply_prob_single(
     m, n = _check_frame(m, n, p_t)
     _check_positive("p_e", p_e)
     return _supply_estimate(
-        m, n, p_t, cfg, lambda rng, size: rng.exponential(scale=p_e, size=size)
-    )
+        m, n, p_t, cfg, lambda rng, size, scratch: rng.exponential(scale=p_e, size=size)
+    )[0]
 
 
 def check_prefix_equivalence(
@@ -170,14 +246,14 @@ def check_prefix_equivalence(
     """
     m, n = _check_frame(m, n, p_t)
     _check_positive("p_e", p_e)
-    prefix_count = 0
-    final_count = 0
-    for rng, size in _blocks(cfg.seed, cfg.trials):
+
+    def block(rng: np.random.Generator, size: int, scratch: dict) -> tuple[int, int]:
         budget = m * rng.exponential(scale=p_e, size=size)
-        total, prefix_violated = _codeword_energies(rng, size, n, p_t, budget)
-        prefix_count += int(prefix_violated.sum())
-        final_count += int((total > budget).sum())
-    return prefix_count, final_count
+        total, prefix_violated = _codeword_energies(rng, size, n, p_t, budget, scratch)
+        return int(prefix_violated.sum()), int((total > budget).sum())
+
+    prefix_counts, final_counts = zip(*_map_blocks(cfg.seed, cfg.trials, block))
+    return sum(prefix_counts), sum(final_counts)
 
 
 def truncation_radius(net: NetworkParams) -> float:
@@ -224,7 +300,9 @@ def _far_field_mean(net: NetworkParams, radius: float) -> float:
     )
 
 
-def _ppp_block(rng: np.random.Generator, size: int, net: NetworkParams, radius: float) -> np.ndarray:
+def _ppp_block(
+    rng: np.random.Generator, size: int, scratch: dict, net: NetworkParams, radius: float
+) -> np.ndarray:
     """One block of per-slot harvested energies from the beacon field.
 
     Beacons beyond the sampling disk are folded in as their deterministic
@@ -233,29 +311,45 @@ def _ppp_block(rng: np.random.Generator, size: int, net: NetworkParams, radius: 
     them entirely would bias every estimate low by the tail mean.
     """
     counts = rng.poisson(lam=net.density * math.pi * radius * radius, size=size)
-    points = int(counts.sum())
+    ends = np.cumsum(counts)
     # Uniform placement in the disk, then unit-mean exponential fades. Each
     # contribution is (mu*p_pb)*fade / max(1, (R*sqrt(u))^eta), evaluated in
-    # exactly that order, since the contract pins the field stream's bits,
-    # and inside the two draw buffers, so no temporary array is made.
-    radii = rng.random(points)
-    contrib = rng.standard_exponential(points)
+    # exactly that order, since the contract pins the field stream's bits.
+    # The radii are drawn whole into the worker's buffer and transformed in
+    # place; the fades follow from the same stream in chunks of whole
+    # trials, so each trial's sum still runs over its beacons in order from
+    # 0.0, and a block holds 8 bytes per beacon plus one chunk.
+    radii = rng.random(out=_buffer(scratch, "radii", int(ends[-1])))
     np.sqrt(radii, out=radii)
     radii *= radius
     np.power(radii, net.eta, out=radii)
     np.maximum(radii, 1.0, out=radii)
-    contrib *= net.mu * net.p_pb
-    contrib /= radii
-    owner = np.repeat(np.arange(size), counts)
-    return np.bincount(owner, weights=contrib, minlength=size) + _far_field_mean(net, radius)
+    energy = np.empty(size)
+    first = start = 0
+    while first < size:
+        # The trials ending within one chunk, or one trial that fills more.
+        last = max(int(np.searchsorted(ends, start + _FADE_CHUNK, side="right")), first + 1)
+        stop = int(ends[last - 1])
+        contrib = rng.standard_exponential(out=_buffer(scratch, "fades", stop - start))
+        contrib *= net.mu * net.p_pb
+        contrib /= radii[start:stop]
+        owner = np.repeat(np.arange(last - first), counts[first:last])
+        energy[first:last] = np.bincount(owner, weights=contrib, minlength=last - first)
+        first, start = last, stop
+    energy += _far_field_mean(net, radius)
+    return energy
+
+
+def _field_harvest(net: NetworkParams, radius: float):
+    """The block function of the field: ``_ppp_block`` with the field bound."""
+    return lambda rng, size, scratch: _ppp_block(rng, size, scratch, net, radius)
 
 
 def sample_ppp_energies(net: NetworkParams, cfg: McConfig, count: int) -> np.ndarray:
     """Batch of ``count`` per-slot harvested energy draws (deterministic)."""
     count = _check_count("count", count)
     radius = _sampling_radius(net, count)
-    blocks = _blocks(cfg.seed, count)
-    return np.concatenate([_ppp_block(rng, size, net, radius) for rng, size in blocks])
+    return np.concatenate(_map_blocks(cfg.seed, count, _field_harvest(net, radius)))
 
 
 def estimate_supply_prob_mp(
@@ -268,7 +362,7 @@ def estimate_supply_prob_mp(
     """
     m, n = _check_frame(m, n, p_t)
     radius = _sampling_radius(net, cfg.trials)
-    return _supply_estimate(m, n, p_t, cfg, lambda rng, size: _ppp_block(rng, size, net, radius))
+    return _supply_estimate(m, n, p_t, cfg, _field_harvest(net, radius))[0]
 
 
 def _field_supply(
@@ -284,11 +378,4 @@ def _field_supply(
     """
     m, n = _check_frame(m, n, p_t)
     radius = _sampling_radius(net, cfg.trials)
-    kept = []
-
-    def harvest(rng: np.random.Generator, size: int) -> np.ndarray:
-        kept.append(_ppp_block(rng, size, net, radius))
-        return kept[-1]
-
-    est = _supply_estimate(m, n, p_t, cfg, harvest)
-    return est, np.concatenate(kept)
+    return _supply_estimate(m, n, p_t, cfg, _field_harvest(net, radius), keep=True)

@@ -249,12 +249,18 @@ def laplace_derivs(s: float, order: int, net: NetworkParams) -> LaplaceDerivs:
 
     Raises:
         DomainError: If ``order`` is not an integer in [0, 64] (the
-            stability cap), or a derivative leaves the double range.
+            stability cap), L(s) underflows to 0, or a derivative leaves
+            the double range.
     """
     _check_positive("s", s)
     if not (0 <= order <= _DERIV_CAP and int(order) == order):
         raise DomainError(f"derivative order must be an integer in [0, {_DERIV_CAP}], got {order!r}")
-    values = _ladder(laplace_z(s, net), _g_derivs(s, order, net))
+    l0 = laplace_z(s, net)
+    if l0 == 0.0:
+        raise DomainError(
+            f"L(s) underflows to 0 at s={s!r}, so its derivatives are not representable"
+        )
+    values = _ladder(l0, _g_derivs(s, order, net))
     return LaplaceDerivs(s=s, values=tuple(values))
 
 

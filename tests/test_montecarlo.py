@@ -2,10 +2,15 @@
 # with the closed forms, and the beacon-field sampler.
 
 import math
+import subprocess
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from wplink import montecarlo
 from wplink.montecarlo import (
     BLOCK,
     McConfig,
@@ -99,6 +104,37 @@ def test_field_layout_rederived_by_hand():
     assert np.array_equal(sample_ppp_energies(net, McConfig(trials=1, seed=seed), trials), expected)
 
 
+@pytest.mark.parametrize(
+    "density, trials",
+    [(0.2, 30), (1e-6, 3_000)],
+    ids=["trial-over-chunk", "mostly-empty"],
+)
+def test_field_layout_rederived_by_hand_at_chunk_edges(density, trials):
+    # The sampler draws the fades in chunks of whole trials. At density 0.2
+    # each trial holds about 3e4 beacons, more than one chunk; at 1e-6 about
+    # six trials in seven hold none. The whole-block derivation must still
+    # match exactly.
+    net = NetworkParams(density=density, p_pb=1e3, mu=0.7, eta=3.6)
+    seed = 23
+    rng = np.random.Generator(np.random.Philox(key=(seed << 64) | 0))
+    radius = truncation_radius(net)
+    counts = rng.poisson(lam=net.density * math.pi * radius * radius, size=trials)
+    radii = radius * np.sqrt(rng.random(int(counts.sum())))
+    fades = rng.standard_exponential(radii.size)
+    contrib = net.mu * net.p_pb * fades / np.maximum(1.0, radii ** net.eta)
+    owner = np.repeat(np.arange(trials), counts)
+    far = (
+        2.0 * math.pi * net.density * net.mu * net.p_pb
+        * radius ** (2.0 - net.eta) / (net.eta - 2.0)
+    )
+    expected = np.bincount(owner, weights=contrib, minlength=trials) + far
+    if density > 1e-3:
+        assert counts.min() > montecarlo._FADE_CHUNK
+    else:
+        assert (counts == 0).mean() > 0.8
+    assert np.array_equal(sample_ppp_energies(net, McConfig(trials=1, seed=seed), trials), expected)
+
+
 def test_field_supply_shares_one_sample():
     # Seed 7 with 10 000 trials: two full blocks and a partial one. The
     # supply estimate draws each block's harvest first from the block's own
@@ -107,6 +143,77 @@ def test_field_supply_shares_one_sample():
     est, energies = _field_supply(1500, 1000, 1.0, NET, cfg)
     assert np.array_equal(energies, sample_ppp_energies(NET, cfg, 10_000))
     assert est == estimate_supply_prob_mp(1500, 1000, 1.0, NET, cfg)
+
+
+def _every_stream(monkeypatch, cpus: int) -> tuple:
+    """Every estimator at seed 7 over five full blocks and a partial one,
+    with ``cpus`` block workers, and the threads that drew the field."""
+    monkeypatch.setattr(montecarlo, "_available_cpus", lambda: cpus)
+    drawn_on = set()
+    ppp_block = montecarlo._ppp_block
+
+    def recording_ppp_block(*args):
+        drawn_on.add(threading.get_ident())
+        return ppp_block(*args)
+
+    monkeypatch.setattr(montecarlo, "_ppp_block", recording_ppp_block)
+    cfg = McConfig(trials=5 * BLOCK + 1_000, seed=7)
+    streams = (
+        estimate_supply_prob_single(100, 50, 0.1, 1.0, cfg),
+        estimate_supply_prob_mp(1500, 1000, 1.0, NET, cfg),
+        check_prefix_equivalence(10, 20, 0.5, 1.0, cfg),
+        sample_ppp_energies(NET, cfg, cfg.trials),
+        *_field_supply(1500, 1000, 1.0, NET, cfg),
+    )
+    return streams, len(drawn_on)
+
+
+def test_streams_do_not_depend_on_the_thread_count(monkeypatch):
+    serial, serial_threads = _every_stream(monkeypatch, 1)
+    threaded, threads = _every_stream(monkeypatch, 3)
+    # three workers at once are three threads; a thread ident may be
+    # reused by the next call's workers
+    assert serial_threads == 1 and threads >= 3
+    for a, b in zip(serial, threaded, strict=True):
+        assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+    # the kept field energies come back in block order
+    energies = threaded[-1]
+    radius = truncation_radius(NET)
+    for block, start in enumerate(range(0, energies.size, BLOCK)):
+        rng = np.random.Generator(np.random.Philox(key=(7 << 64) | block))
+        size = min(BLOCK, energies.size - start)
+        alone = montecarlo._ppp_block(rng, size, {}, NET, radius)
+        assert np.array_equal(energies[start:start + size], alone)
+
+
+def test_failed_block_stops_the_other_worker(monkeypatch):
+    # Two workers: worker 0 runs blocks 0, 2, 4, ..., worker 1 blocks 1, 3,
+    # 5, .... Block 2 fails at about 50 ms, while worker 1 runs block 1 or
+    # block 3; block 5 would start 50 ms after the failure.
+    monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 2)
+    started = []
+
+    def failing_ppp_block(rng, size, *args):
+        block = int(rng.bit_generator.state["state"]["key"][0])
+        started.append(block)
+        if block == 2:
+            raise StabilityError("block 2 failed")
+        time.sleep(0.05)
+        return np.ones(size)
+
+    monkeypatch.setattr(montecarlo, "_ppp_block", failing_ppp_block)
+    before = threading.active_count()
+    with pytest.raises(StabilityError, match="block 2 failed"):
+        estimate_supply_prob_mp(1500, 1000, 1.0, NET, McConfig(trials=10 * BLOCK, seed=0))
+    assert threading.active_count() == before
+    assert {0, 1, 2} <= set(started) <= {0, 1, 2, 3}
+
+
+def test_cli_import_starts_no_thread():
+    code = "import threading, wplink.cli; print(threading.active_count())"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1\n"
 
 
 def test_different_seeds_differ():

@@ -246,6 +246,14 @@ def test_laplace_derivs_order_cap():
         laplace_derivs(0.0, 2, NET)
 
 
+def test_laplace_derivs_underflow_names_the_cause():
+    # L(1e10) is about exp(-9.3e4), 0.0 in doubles; the error says so rather
+    # than the container's range message for values[0]
+    net = NetworkParams(density=1e-3, p_pb=1e3)
+    with pytest.raises(DomainError, match=r"^L\(s\) underflows to 0 at s=10000000000\.0, "):
+        laplace_derivs(1e10, 2, net)
+
+
 @pytest.mark.parametrize("s", [1e-12, 1e-7, 1e-5, 3.0])
 def test_laplace_derivs_order_64_match_mpmath(s):
     # at small s the series coefficients c_r underflow long before order 64,
