@@ -15,13 +15,16 @@ needs running sums, so it draws the symbols themselves, as standard normals
 in chunks of 256. Estimates are therefore bit-identical for a given
 (seed, parameters) regardless of how blocks are scheduled. Every stream
 comes from one block map, :func:`_map_blocks`: it runs the blocks on up to
-one thread per CPU the process may use, with no setting to change that, and
+one thread per CPU the process may use, and on fewer where blocks are large,
+so that the blocks in flight hold at most :data:`_MEMORY_IN_FLIGHT` bytes,
+or one block where a block alone is larger. No setting changes that. It
 reduces their results in block order, so no bit depends on the thread count.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import threading
 from dataclasses import dataclass
@@ -53,8 +56,28 @@ _TRUNCATION_TAIL = 1e-4
 # 8 bytes per beacon for the radii, plus one fade chunk (see _ppp_block), so
 # 2**24 keeps each block's draws near 130 MB, while the densest field the
 # tests and `validate` sample (density 1e-2 at eta = 3.6, about 6.2e6
-# beacons per full block) runs with room to spare.
+# beacons per full block) runs with room to spare, one block at a time.
 _BLOCK_BEACON_CAP = 2 ** 24
+
+# Bytes the blocks of one call may hold in flight together. The block map
+# runs fewer workers where blocks are larger, down to one, so a call holds
+# at most this or one block, whatever the CPU count. 12 MiB is under the
+# 15 MB one block of the `validate` field holds at 24 bytes per beacon
+# (6.2e5 beacons with their radii, fades and owners held whole, as a serial
+# sampler may), so that field, at 5.5 MB a block, runs on two workers with
+# 11 MB in flight on any host.
+_MEMORY_IN_FLIGHT = 12 * 2 ** 20
+
+# Bytes per trial of a block's own arrays (counts, harvest and codeword
+# energies, budgets and their comparisons), on top of the draws that each
+# block function counts for itself.
+_TRIAL_BYTES = 64
+
+# Bytes per symbol slot of a chunk in the prefix check: the draws, their
+# energies and running sums, the previous chunk's energies and running
+# sums while the next chunk is drawn, and a comparison flag. tracemalloc
+# measured 24.1 bytes per slot at n = 256 (one chunk) and 32.1 at n = 1000.
+_SYMBOL_BYTES = 33
 
 # Beacons per fade chunk of _ppp_block. A chunk holds whole trials, so it is
 # one trial's beacons where a trial holds more; the chunk then costs 16
@@ -98,18 +121,22 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _map_blocks(seed: int, trials: int, fn) -> list:
+def _map_blocks(seed: int, trials: int, fn, draw_bytes: float) -> list:
     """``fn(rng, size, scratch)`` for each block of ``trials``, in block order.
 
     Block b of seed s draws from the Philox key (s << 64) | b. Worker w runs
-    blocks w, w + W, w + 2W, ... with W = min(CPUs, blocks); the calling
-    thread is worker 0, so one block or one CPU starts no thread. ``scratch``
-    is a dict each worker keeps across its blocks, for reusable buffers.
-    After a block fails no worker starts a later block, and the failure of
-    the lowest block is raised, as a serial loop would raise it.
+    blocks w, w + W, w + 2W, ... where W is the least of the CPUs, the
+    blocks and the number of blocks that fit in :data:`_MEMORY_IN_FLIGHT`,
+    and at least 1. A block holds its per-trial arrays plus ``draw_bytes``,
+    the peak of any other draws of ``fn``. The calling thread is worker 0,
+    so one worker starts no thread. ``scratch`` is a dict each worker keeps
+    across its blocks, for reusable buffers. After a block fails no worker
+    starts a later block, and the failure of the lowest block is raised, as
+    a serial loop would raise it.
     """
     blocks = -(-trials // BLOCK)
-    workers = min(_available_cpus(), blocks)
+    fit = int(_MEMORY_IN_FLIGHT // (_TRIAL_BYTES * BLOCK + draw_bytes))
+    workers = max(1, min(_available_cpus(), blocks, fit))
     results = [None] * blocks
     errors = {}
     failed = [blocks]  # lowest failed block so far
@@ -145,10 +172,18 @@ def _map_blocks(seed: int, trials: int, fn) -> list:
 def _buffer(scratch: dict, name: str, size: int) -> np.ndarray:
     """The first ``size`` doubles of the worker's buffer ``name``. A buffer
     too small is dropped and replaced with some headroom, so blocks of
-    about the same size share one."""
+    about the same size share one.
+
+    Buffers are anonymous memory maps, returned to the system when the
+    worker drops them. Heap buffers freed on worker threads stay in the
+    allocator's per-thread arenas: twelve `validate` and `pes` runs in one
+    process with the CPU count set to 8 reached 94 MB peak RSS that way,
+    against 74 MB with maps.
+    """
     if name not in scratch or scratch[name].size < size:
         scratch.pop(name, None)
-        scratch[name] = np.empty(size + (size >> 6))
+        doubles = size + (size >> 6) + 1
+        scratch[name] = np.frombuffer(mmap.mmap(-1, 8 * doubles), dtype=np.float64)
     return scratch[name][:size]
 
 
@@ -159,7 +194,7 @@ def _check_frame(m: int, n: int, p_t: float) -> tuple[int, int]:
 
 
 def _codeword_energies(
-    rng: np.random.Generator, size: int, n: int, p_t: float, budget: np.ndarray, scratch: dict
+    rng: np.random.Generator, size: int, n: int, p_t: float, budget: np.ndarray
 ):
     """Total codeword energy per trial, and whether any running prefix of it
     exceeded ``budget``.
@@ -167,22 +202,15 @@ def _codeword_energies(
     Symbols are drawn as standard normals in fixed chunks and squared, so
     the per-trial energy is p_t times a chi-squared(n) sum. A prefix can
     exceed the budget only where the total does, since the cumulative
-    energy never decreases. Each chunk's energies and running sums fill
-    the worker's two buffers in place, with the operations of
-    ``p_t * x**2`` and ``total + cumsum`` (both commute bit for bit).
+    energy never decreases.
     """
     total = np.zeros(size)
     prefix_violated = np.zeros(size, dtype=bool)
     done = 0
     while done < n:
         chunk = min(_SYMBOL_CHUNK, n - done)
-        energies = _buffer(scratch, "symbols", size * chunk).reshape(size, chunk)
-        rng.standard_normal(out=energies)
-        np.square(energies, out=energies)
-        energies *= p_t
-        running = _buffer(scratch, "running", size * chunk).reshape(size, chunk)
-        np.cumsum(energies, axis=1, out=running)
-        running += total[:, None]
+        energies = p_t * np.square(rng.standard_normal((size, chunk)))
+        running = total[:, None] + np.cumsum(energies, axis=1)
         prefix_violated |= (running > budget[:, None]).any(axis=1)
         total += energies.sum(axis=1)
         done += chunk
@@ -190,16 +218,17 @@ def _codeword_energies(
 
 
 def _supply_estimate(
-    m: int, n: int, p_t: float, cfg: McConfig, harvest, keep: bool = False
+    m: int, n: int, p_t: float, cfg: McConfig, harvest, harvest_bytes: float = 0,
+    keep: bool = False,
 ) -> tuple[McEstimate, np.ndarray | None]:
     """Fraction of trials in which ``m`` slots of harvested energy cover the
     codeword, with its binomial standard error.
 
     Per block, ``harvest(rng, size, scratch)`` draws the per-slot energies
-    first; the codeword energies, p_t times a chi-squared(n) variate each,
-    follow from the same stream. With ``keep`` the harvest energies come
-    back too, in trial order; without it, None, and memory does not grow
-    with the trials.
+    first, holding ``harvest_bytes`` beyond its per-trial arrays; the
+    codeword energies, p_t times a chi-squared(n) variate each, follow from
+    the same stream. With ``keep`` the harvest energies come back too, in
+    trial order; without it, None, and memory does not grow with the trials.
     """
 
     def block(rng: np.random.Generator, size: int, scratch: dict):
@@ -207,7 +236,7 @@ def _supply_estimate(
         total = p_t * (2.0 * rng.standard_gamma(0.5 * n, size))
         return int((total <= m * energy).sum()), energy if keep else None
 
-    counts, energies = zip(*_map_blocks(cfg.seed, cfg.trials, block))
+    counts, energies = zip(*_map_blocks(cfg.seed, cfg.trials, block, harvest_bytes))
     p = sum(counts) / cfg.trials
     est = McEstimate(
         mean=p,
@@ -249,10 +278,11 @@ def check_prefix_equivalence(
 
     def block(rng: np.random.Generator, size: int, scratch: dict) -> tuple[int, int]:
         budget = m * rng.exponential(scale=p_e, size=size)
-        total, prefix_violated = _codeword_energies(rng, size, n, p_t, budget, scratch)
+        total, prefix_violated = _codeword_energies(rng, size, n, p_t, budget)
         return int(prefix_violated.sum()), int((total > budget).sum())
 
-    prefix_counts, final_counts = zip(*_map_blocks(cfg.seed, cfg.trials, block))
+    chunk_bytes = _SYMBOL_BYTES * BLOCK * min(n, _SYMBOL_CHUNK)
+    prefix_counts, final_counts = zip(*_map_blocks(cfg.seed, cfg.trials, block, chunk_bytes))
     return sum(prefix_counts), sum(final_counts)
 
 
@@ -275,21 +305,26 @@ def truncation_radius(net: NetworkParams) -> float:
     return max(r, 1.0)
 
 
-def _sampling_radius(net: NetworkParams, trials: int) -> float:
-    """:func:`truncation_radius`, once the field is known to fit in a block.
+def _field_harvest(net: NetworkParams, trials: int):
+    """The field's block function, :func:`_ppp_block` on the disk of
+    :func:`truncation_radius`, and the bytes its draws hold per block: 8 per
+    expected beacon for the radii, with the buffer's 1/64 headroom, and 16
+    per beacon of one fade chunk.
 
     Raises:
         StabilityError: If one block of ``trials`` expects more than
             :data:`_BLOCK_BEACON_CAP` beacons in the disk.
     """
     radius = truncation_radius(net)
-    expected = net.density * math.pi * radius * radius * min(BLOCK, trials)
+    per_trial = net.density * math.pi * radius * radius
+    expected = per_trial * min(BLOCK, trials)
     if expected > _BLOCK_BEACON_CAP:
         raise StabilityError(
             f"field too dense to sample: {expected:.3g} beacons expected per block, "
             f"cap {_BLOCK_BEACON_CAP}"
         )
-    return radius
+    draw_bytes = 8 * (expected + expected / 64) + 16 * max(_FADE_CHUNK, per_trial)
+    return lambda rng, size, scratch: _ppp_block(rng, size, scratch, net, radius), draw_bytes
 
 
 def _far_field_mean(net: NetworkParams, radius: float) -> float:
@@ -340,16 +375,10 @@ def _ppp_block(
     return energy
 
 
-def _field_harvest(net: NetworkParams, radius: float):
-    """The block function of the field: ``_ppp_block`` with the field bound."""
-    return lambda rng, size, scratch: _ppp_block(rng, size, scratch, net, radius)
-
-
 def sample_ppp_energies(net: NetworkParams, cfg: McConfig, count: int) -> np.ndarray:
     """Batch of ``count`` per-slot harvested energy draws (deterministic)."""
     count = _check_count("count", count)
-    radius = _sampling_radius(net, count)
-    return np.concatenate(_map_blocks(cfg.seed, count, _field_harvest(net, radius)))
+    return np.concatenate(_map_blocks(cfg.seed, count, *_field_harvest(net, count)))
 
 
 def estimate_supply_prob_mp(
@@ -361,8 +390,7 @@ def estimate_supply_prob_mp(
     slots, against a chi-squared(n) codeword energy at power ``p_t``.
     """
     m, n = _check_frame(m, n, p_t)
-    radius = _sampling_radius(net, cfg.trials)
-    return _supply_estimate(m, n, p_t, cfg, _field_harvest(net, radius))[0]
+    return _supply_estimate(m, n, p_t, cfg, *_field_harvest(net, cfg.trials))[0]
 
 
 def _field_supply(
@@ -377,5 +405,4 @@ def _field_supply(
     the trials.
     """
     m, n = _check_frame(m, n, p_t)
-    radius = _sampling_radius(net, cfg.trials)
-    return _supply_estimate(m, n, p_t, cfg, _field_harvest(net, radius), keep=True)
+    return _supply_estimate(m, n, p_t, cfg, *_field_harvest(net, cfg.trials), keep=True)

@@ -5,7 +5,7 @@ import math
 import subprocess
 import sys
 import threading
-import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,33 +147,44 @@ def test_field_supply_shares_one_sample():
 
 def _every_stream(monkeypatch, cpus: int) -> tuple:
     """Every estimator at seed 7 over five full blocks and a partial one,
-    with ``cpus`` block workers, and the threads that drew the field."""
+    with ``cpus`` block workers, and the number of threads that drew the
+    field in each of its three calls. The memory budget is lifted so that
+    the field, too, runs on ``cpus`` workers."""
     monkeypatch.setattr(montecarlo, "_available_cpus", lambda: cpus)
-    drawn_on = set()
+    monkeypatch.setattr(montecarlo, "_MEMORY_IN_FLIGHT", 2 ** 30)
+    drawn_on = []
     ppp_block = montecarlo._ppp_block
 
     def recording_ppp_block(*args):
-        drawn_on.add(threading.get_ident())
+        drawn_on[-1].add(threading.get_ident())
         return ppp_block(*args)
+
+    def field_call(call, *args):
+        drawn_on.append(set())
+        return call(*args)
 
     monkeypatch.setattr(montecarlo, "_ppp_block", recording_ppp_block)
     cfg = McConfig(trials=5 * BLOCK + 1_000, seed=7)
     streams = (
         estimate_supply_prob_single(100, 50, 0.1, 1.0, cfg),
-        estimate_supply_prob_mp(1500, 1000, 1.0, NET, cfg),
+        field_call(estimate_supply_prob_mp, 1500, 1000, 1.0, NET, cfg),
         check_prefix_equivalence(10, 20, 0.5, 1.0, cfg),
-        sample_ppp_energies(NET, cfg, cfg.trials),
-        *_field_supply(1500, 1000, 1.0, NET, cfg),
+        field_call(sample_ppp_energies, NET, cfg, cfg.trials),
+        *field_call(_field_supply, 1500, 1000, 1.0, NET, cfg),
     )
-    return streams, len(drawn_on)
+    return streams, [len(threads) for threads in drawn_on]
 
 
 def test_streams_do_not_depend_on_the_thread_count(monkeypatch):
     serial, serial_threads = _every_stream(monkeypatch, 1)
-    threaded, threads = _every_stream(monkeypatch, 3)
-    # three workers at once are three threads; a thread ident may be
-    # reused by the next call's workers
-    assert serial_threads == 1 and threads >= 3
+    # more workers than this host may have cores, switching often
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded, threads = _every_stream(monkeypatch, 3)
+    finally:
+        sys.setswitchinterval(interval)
+    assert serial_threads == [1, 1, 1] and threads == [3, 3, 3]
     for a, b in zip(serial, threaded, strict=True):
         assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
     # the kept field energies come back in block order
@@ -187,10 +198,19 @@ def test_streams_do_not_depend_on_the_thread_count(monkeypatch):
 
 
 def test_failed_block_stops_the_other_worker(monkeypatch):
-    # Two workers: worker 0 runs blocks 0, 2, 4, ..., worker 1 blocks 1, 3,
-    # 5, .... Block 2 fails at about 50 ms, while worker 1 runs block 1 or
-    # block 3; block 5 would start 50 ms after the failure.
+    # Two workers: worker 0, the calling thread, runs blocks 0, 2, 4, ...,
+    # worker 1 blocks 1, 3, 5, .... Block 2 fails. Block 1 returns only once
+    # the calling thread has recorded that failure and begun to join worker
+    # 1, so worker 1 must stop at its next block boundary, before block 3.
     monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 2)
+    joining = threading.Event()
+
+    class Worker(threading.Thread):
+        def join(self, timeout=None):
+            joining.set()
+            super().join(timeout)
+
+    monkeypatch.setattr(threading, "Thread", Worker)
     started = []
 
     def failing_ppp_block(rng, size, *args):
@@ -198,7 +218,8 @@ def test_failed_block_stops_the_other_worker(monkeypatch):
         started.append(block)
         if block == 2:
             raise StabilityError("block 2 failed")
-        time.sleep(0.05)
+        if block % 2:
+            assert joining.wait(timeout=60)
         return np.ones(size)
 
     monkeypatch.setattr(montecarlo, "_ppp_block", failing_ppp_block)
@@ -206,7 +227,33 @@ def test_failed_block_stops_the_other_worker(monkeypatch):
     with pytest.raises(StabilityError, match="block 2 failed"):
         estimate_supply_prob_mp(1500, 1000, 1.0, NET, McConfig(trials=10 * BLOCK, seed=0))
     assert threading.active_count() == before
-    assert {0, 1, 2} <= set(started) <= {0, 1, 2, 3}
+    assert sorted(started) == [0, 1, 2]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: sample_ppp_energies(NET, McConfig(trials=1, seed=3), 8 * BLOCK),
+        lambda: check_prefix_equivalence(10, 1000, 0.01, 1.0, McConfig(trials=2 * BLOCK, seed=3)),
+    ],
+    ids=["field", "prefix"],
+)
+def test_blocks_in_flight_fit_the_memory_budget(monkeypatch, call):
+    # With 25 CPUs one worker per block would hold 8 field blocks of about
+    # 5.5 MB, or 2 prefix blocks of about 32 MB (n = 1000, four chunks of
+    # 256 symbols), at once. The block map runs only as many workers as fit
+    # in _MEMORY_IN_FLIGHT, or one where a block alone is larger.
+    # tracemalloc sees NumPy's buffers on every thread.
+    peaks = {}
+    for cpus in (1, 25):
+        monkeypatch.setattr(montecarlo, "_available_cpus", lambda: cpus)
+        tracemalloc.start()
+        try:
+            call()
+            peaks[cpus] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[25] <= 1.05 * max(montecarlo._MEMORY_IN_FLIGHT, peaks[1])
 
 
 def test_cli_import_starts_no_thread():
