@@ -17,7 +17,6 @@ flags override file values, file values override built-in defaults.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import sys
@@ -53,11 +52,12 @@ def _fmt(value) -> str:
 
 
 def _emit(header, rows, out_path) -> None:
+    # Plain joins are valid CSV here: no cell needs quoting, since cells are
+    # numbers, true/false or empty, and every table has at least two columns,
+    # so no row is a lone empty field (which csv.writer would write as "").
     def write(stream):
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        stream.write(",".join(header) + "\n")
+        stream.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
 
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
@@ -400,15 +400,12 @@ def _figure_fig2():
     rows, series = [], []
     for eps in eps_list:
         n = single_pb.min_transmit_blocklength(eps)
-        xs, ys = [], []
+        rates = []
         for a in grid:
             link = single_pb.LinkParams(p_t=a * p_e, p_e=p_e, sigma2=sigma2)
-            rate = _planned_rate_bits(n, a, link, eps)
-            rows.append([eps, a, rate])
-            if rate is not None:
-                xs.append(a)
-                ys.append(rate)
-        series.append((f"eps={eps:g}", xs, ys))
+            rates.append(_planned_rate_bits(n, a, link, eps))
+        rows += [[eps, a, rate] for a, rate in zip(grid, rates)]
+        series.append((f"eps={eps:g}", grid, rates))
     plot = dict(series=series, x_label="a", y_label="rate (bits/channel use)", log_x=True)
     return ["eps", "a", "rate_bits"], rows, plot
 
@@ -483,7 +480,6 @@ def _figure_fig7():
     eps, sigma2 = 0.05, 1.0
     net = multi_pb.NetworkParams(density=5e-3, p_pb=1e3)
     rows = []
-    xs, ys = [], []
     for n in (2026, 4052, 6078, 8104, 10130):
         best = None
         for p_t in _log_grid(0.1, 100.0, 9):
@@ -494,11 +490,9 @@ def _figure_fig7():
             if res.feasible and (best is None or res.rate_bits > best[3]):
                 best = [n, p_t, m, res.rate_bits]
         rows.append(best if best else [n, None, None, None])
-        if best:
-            xs.append(n)
-            ys.append(best[3])
+    ns, _, _, rates = zip(*rows)
     plot = dict(
-        series=[("best scanned power", xs, ys)],
+        series=[("best scanned power", ns, rates)],
         x_label="n",
         y_label="rate (bits/channel use)",
     )
@@ -619,12 +613,15 @@ def render_line_chart(path, series, *, x_label="", y_label="", log_x=False, log_
     left, right, top, bottom = 70, 20, 30, 50
     pw, ph = width - left - right, height - top - bottom
 
-    pts = [
-        (x, y)
-        for _, xs, ys in series
-        for x, y in zip(xs, ys)
-        if x is not None and y is not None and math.isfinite(x) and math.isfinite(y)
+    # Points with an empty (None) or non-finite coordinate are not drawn.
+    series = [
+        (label, [
+            (x, y) for x, y in zip(xs, ys)
+            if x is not None and y is not None and math.isfinite(x) and math.isfinite(y)
+        ])
+        for label, xs, ys in series
     ]
+    pts = [p for _, points in series for p in points]
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}" '
         f'font-family="sans-serif" font-size="12">',
@@ -660,13 +657,9 @@ def render_line_chart(path, series, *, x_label="", y_label="", log_x=False, log_
             parts.append(
                 f'<text x="{left - 6}" y="{y + 4:.2f}" text-anchor="end">{t:.3g}</text>'
             )
-        for idx, (label, xs, ys) in enumerate(series):
+        for idx, (label, points) in enumerate(series):
             color = _PALETTE[idx % len(_PALETTE)]
-            coords = " ".join(
-                f"{sx(x):.2f},{sy(y):.2f}"
-                for x, y in zip(xs, ys)
-                if x is not None and y is not None and math.isfinite(x) and math.isfinite(y)
-            )
+            coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in points)
             if coords:
                 parts.append(
                     f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'

@@ -2,8 +2,9 @@
 
 The per-slot harvested energy Z is a shot-noise functional of a planar
 Poisson process under the bounded path loss max(1, r^eta). Its Laplace
-transform exp(g(s)) is known in closed form, and every quantity here is
-driven by g and its derivatives:
+transform exp(g(s)) is known in closed form, one regularized incomplete
+beta that SciPy evaluates from its smaller tail (``_radial``), and every
+quantity here is driven by g and its derivatives:
 
 * :func:`laplace_z` / :func:`mean_harvested` -- the transform and its mean.
 * :func:`laplace_derivs` -- derivative ladder via the product recurrence
@@ -42,10 +43,6 @@ __all__ = [
     "energy_supply_prob_mp",
     "achievable_rate_mp",
 ]
-
-# Above this argument the radial functional is taken from its large-u
-# expansion rather than the incomplete beta (see _radial).
-_TAIL_U = 1e6
 
 # Hard cap on raw derivative order: beyond this the factorially scaled
 # ladder loses double-precision headroom.
@@ -144,23 +141,22 @@ def _radial(u: float, eta: float) -> float:
 
     With alpha = 2/eta and w = u/(1+u), DLMF 8.17 with Pfaff's
     transformation (15.8) gives the incomplete-beta closed form
-    F(u) = alpha u^alpha (pi/sin(pi alpha)) I_w(1-alpha, alpha), taken
-    through the complement I_{1-w}(alpha, 1-alpha) above u = 1. That
-    complement loses digits far out (6e-11 relative at alpha = 1/2,
-    u = 1e20), so past ``_TAIL_U`` the large-u expansion
-    alpha [pi/sin(pi alpha) u^alpha - sum_j (-1)^j u^(-j)/(alpha+j)] takes
-    over; its first omitted term (j = 4) is below 1e-24 there.
+    F(u) = alpha u^alpha (pi/sin(pi alpha)) I_w(1-alpha, alpha), and
+    SciPy's incomplete beta evaluates it for every u. Above u = 1 it goes
+    through the symmetry I_w(1-alpha, alpha) = 1 - I_x(alpha, 1-alpha),
+    x = 1/(1+u) (DLMF 8.17.4), from the smaller tail of I_x: the
+    subtraction 1 - I_x runs only where I_x <= 1/2, so it cannot cancel,
+    and ``betaincc`` gives the complement directly otherwise.
     """
     alpha = 2.0 / eta
     lead = math.pi / math.sin(math.pi * alpha)
-    if u > _TAIL_U:
-        tail = sum((-1.0) ** j * u ** (-j) / (alpha + j) for j in range(4))
-        return alpha * (lead * u**alpha - tail)
     if u <= 1.0:
-        beta = betainc(1.0 - alpha, alpha, u / (1.0 + u))
+        beta = float(betainc(1.0 - alpha, alpha, u / (1.0 + u)))
     else:
-        beta = betaincc(alpha, 1.0 - alpha, 1.0 / (1.0 + u))
-    return alpha * lead * u**alpha * float(beta)
+        x = 1.0 / (1.0 + u)
+        lower = float(betainc(alpha, 1.0 - alpha, x))
+        beta = 1.0 - lower if lower <= 0.5 else float(betaincc(alpha, 1.0 - alpha, x))
+    return alpha * lead * u**alpha * beta
 
 
 def _log_laplace(u: float, net: NetworkParams) -> float:

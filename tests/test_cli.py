@@ -11,8 +11,10 @@ import sys
 
 import pytest
 
-from wplink import multi_pb, single_pb
+from wplink import cli, multi_pb, single_pb
 from wplink.cli import main
+
+README = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
 
 
 def run_cli(capsys, *argv):
@@ -268,6 +270,59 @@ def test_flags_override_config(tmp_path, capsys):
     assert body == [["2", "2", "0", "1"]]
 
 
+FIELD = ["--mode", "multi", "--pt", "1", "--lambda", "1e-3", "--ppb", "1e3"]
+MULTI_PES = ["pes", "-m", "1500", "-n", "1000", "--pt", "1"]
+# (command without the key, value) for each config key; each value differs
+# from the key's default, so that a key read but not applied would show.
+CONFIG_CASES = {
+    "mode": (MULTI_PES + ["--lambda", "1e-3", "--ppb", "1e3"], "multi"),
+    "pt": (["pes", "-m", "100", "-n", "50", "--pe", "10"], "1"),
+    "pe": (["pes", "-m", "100", "-n", "50", "--pt", "1"], "10"),
+    "sigma2": (["rate", "--eps", "0.05", "--pe", "100", "--pt", "0.12"], "2"),
+    "eps": (["rate", "--pe", "100", "--pt", "0.12"], "0.05"),
+    "a": (["pes", "-m", "100", "-n", "50"], "0.1"),
+    "m": (["pes", "-n", "50", "-a", "0.1"], "100"),
+    "n": (["pes", "-m", "100", "-a", "0.1"], "50"),
+    "lambda": (MULTI_PES + ["--mode", "multi", "--ppb", "1e3"], "1e-3"),
+    "ppb": (MULTI_PES + ["--mode", "multi", "--lambda", "1e-3"], "1e3"),
+    "mu": (MULTI_PES + FIELD, "0.5"),
+    "eta": (MULTI_PES + FIELD, "3"),
+    "mc_trials": (["pes", "-m", "100", "-n", "50", "-a", "0.1"], "500"),
+    "seed": (["pes", "-m", "100", "-n", "50", "-a", "0.1", "--mc-trials", "500"], "3"),
+    "sweep": (["pes", "-m", "100", "-n", "50"], "a:0.01:1:5:log"),
+}
+
+
+def readme_config_keys():
+    text = re.search(r"keys\s+match the flag\s+names \((.*?)\)", README, re.S).group(1)
+    return re.findall(r"`(\w+)`", text)
+
+
+def test_readme_lists_every_config_key():
+    assert sorted(readme_config_keys()) == sorted(cli._CONFIG_KEYS) == sorted(CONFIG_CASES)
+
+
+@pytest.mark.parametrize("key", readme_config_keys())
+def test_config_key_acts_as_its_flag(tmp_path, capsys, key):
+    base, value = CONFIG_CASES[key]
+    flag = f"-{key}" if len(key) == 1 else "--" + key.replace("_", "-")
+    cfg = tmp_path / "key.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    by_flag = run_cli(capsys, *base, f"{flag}={value}")
+    assert by_flag[0] == 0, by_flag
+    assert run_cli(capsys, *base, "--config", str(cfg)) == by_flag
+    assert run_cli(capsys, *base)[:2] != by_flag[:2]
+
+
+@pytest.mark.parametrize("key", ["out", "config"])
+def test_path_flags_are_not_config_keys(tmp_path, capsys, key):
+    cfg = tmp_path / "key.cfg"
+    cfg.write_text(f"{key} = other\n")
+    code, out, err = run_cli(capsys, "pes", "-m", "2", "-n", "2", "-a", "1", "--config", str(cfg))
+    assert code == 3 and out == ""
+    assert err == f"error: {cfg}:1: unknown config key {key!r}\n"
+
+
 def test_out_writes_csv_file(tmp_path, capsys):
     target = tmp_path / "pes.csv"
     code, out, _ = run_cli(
@@ -276,6 +331,60 @@ def test_out_writes_csv_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text() == "m,n,a,pes\n2,2,1,0.5\n"
+
+
+# One row of each subcommand in both modes, with and without Monte Carlo
+# columns, and sweeps.
+TABLES = {
+    "pes-single": ["pes", "-m", "100", "-n", "50", "-a", "0.1", "--mc-trials", "500"],
+    "pes-multi": ["pes", "-m", "1500", "-n", "1000", *FIELD, "--mc-trials", "500"],
+    "rate-single": ["rate", "--eps", "0.05", "--pe", "100", "--pt", "0.12"],
+    "rate-multi": ["rate", "-n", "50", "--eps", "0.5", *FIELD],
+    "rate-infeasible": ["rate", "--eps", "0.05", "--pe", "100", "--pt", "0.12", "-m", "1"],
+    "optpower": ["optpower", "--eps", "0.05", "--pe", "100"],
+    "plan-single": ["plan", "--eps", "0.05", "-a", "0.0012"],
+    "plan-multi": ["plan", "--eps", "0.05", *FIELD],
+    "pes-sweep": ["pes", "-m", "100", "-n", "50", "--sweep", "a:0.01:1:5:log"],
+    "rate-sweep": ["rate", "--eps", "0.05", *FIELD, "--sweep", "pt:0.1:10:3:log"],
+}
+FIGURES = ["fig2", "fig3", "fig4", "fig5", "fig6", "fig7"]
+
+
+def test_no_table_cell_needs_quoting(tmp_path, monkeypatch, capsys):
+    # cli._emit joins cells with bare commas; that is valid CSV only while no
+    # header or cell holds a comma, a quote or a line break, and no table has
+    # a single column (csv quotes a lone empty field as "")
+    tables = []
+    real_emit = cli._emit
+
+    def spy(header, body, out_path):
+        body = list(body)
+        tables.append((list(header), [[cli._fmt(v) for v in row] for row in body]))
+        real_emit(header, body, out_path)
+
+    monkeypatch.setattr(cli, "_emit", spy)
+    argvs = list(TABLES.values()) + [["figure", f, "--out", str(tmp_path)] for f in FIGURES]
+    for argv in argvs:
+        tables.clear()
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
+        assert len(tables) == 1, argv
+        header, body = tables[0]
+        assert len(header) >= 2 and body, argv
+        for cells in [header] + body:
+            assert len(cells) == len(header), (argv, cells)
+            bad = [c for c in cells if any(ch in c for ch in ',"\r\n')]
+            assert not bad, (argv, bad)
+
+
+@pytest.mark.parametrize("argv", TABLES.values(), ids=TABLES.keys())
+def test_out_file_bytes_equal_stdout(tmp_path, capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    target = tmp_path / "table.csv"
+    code, quiet, _ = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 0 and quiet == ""
+    assert target.read_bytes() == out.encode("utf-8")
 
 
 # ----------------------------------------------------------------
@@ -298,6 +407,18 @@ def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["pes", "--no-such-flag"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "command", ["", "pes", "rate", "optpower", "plan", "figure", "validate"]
+)
+def test_help_exits_0(capsys, command):
+    # argparse formats a help string only on request, so a stray % in one
+    # passes every other test
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"] if command else ["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: wplink")
 
 
 @pytest.mark.parametrize(
@@ -499,9 +620,6 @@ def test_module_entry_point():
 
 # ----------------------------------------------------------------
 # README examples
-
-
-README = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
 
 
 def readme_examples():

@@ -7,6 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import betainc
 
 from wplink import multi_pb, planner
 from wplink.multi_pb import (
@@ -162,17 +163,27 @@ def test_f_deriv_branches_agree_at_switchover():
         assert f_deriv(k, 1.0 + 1e-10, 3.6, multi_pb._g_derivs_hyp) == pytest.approx(
             above, rel=1e-12
         )
-    # the functional: incomplete beta (u <= 1e6) and large-u expansion (above)
-    below = f_deriv(0, 1e6, 3.6)
-    above = f_deriv(0, 1e6 * (1.0 + 1e-12), 3.6)
-    assert above == pytest.approx(below, rel=1e-11)
+    # the functional above u = 1: one minus betainc (I_x <= 1/2) and betaincc
+    # (I_x > 1/2), x = 1/(1+u), on the adjacent doubles around the switch,
+    # which lies above u = 1 for eta > 4 (u = 9.7 at 8, 1.1e15 at 100)
+    for eta in (8.0, 100.0):
+        alpha = 2.0 / eta
+        small = lambda u: betainc(alpha, 1.0 - alpha, 1.0 / (1.0 + u)) <= 0.5
+        lo, hi = 1.0, 1e300
+        assert not small(lo) and small(hi)
+        while math.nextafter(lo, hi) < hi:
+            mid = math.sqrt(lo) * math.sqrt(hi) if hi > 2.0 * lo else 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if small(mid) else (mid, hi)
+        assert f_deriv(0, hi, eta) == pytest.approx(f_deriv(0, lo, eta), rel=1e-13)
 
 
-@pytest.mark.parametrize("eta", [2.01, 2.5, 3.0, 3.6, 4.0, 4.5, 8.0, 100.0])
+@pytest.mark.parametrize(
+    "eta", [2.01, 2.5, 3.0, 3.6, 4.0, 4.5, 8.0, 100.0, 1e3, 1e4, 1e5, 1e6]
+)
 def test_radial_matches_mpmath(eta):
-    # every decade of u from 1e-12 to 1e50: both incomplete-beta branches,
-    # the large-u expansion, and eta = 4 at u >= 1e16 where SciPy's
-    # complemented incomplete beta alone loses digits
+    # every decade of u from 1e-12 to 1e50: SciPy's incomplete beta from its
+    # smaller tail. Each single formula fails here: betaincc at eta = 4,
+    # u >= 1e16, and one minus betainc at eta >= 1e5 from u = 10 on.
     with mp.workdps(40):
         for e in range(-12, 51):
             u = 10.0**e
