@@ -5,20 +5,23 @@ packets or a planar Poisson beacon field, and codeword energy as p_t times a
 chi-squared(n) variate — so agreement with the analytic modules is
 evidence, not circularity.
 
-Determinism contract v2: draws come from counter-based Philox streams.
+Determinism contract v3: draws come from counter-based Philox streams.
 Trials are processed in fixed blocks of :data:`BLOCK` trials; block ``b`` of
 seed ``s`` uses the 128-bit key ``(s << 64) | b``, and within a block the
 draw order is fixed: the harvest draw first, then the codeword energies.
-The supply estimators draw each codeword's energy as one
-``2 * standard_gamma(n / 2)`` variate; :func:`check_prefix_equivalence`
-needs running sums, so it draws the symbols themselves, as standard normals
-in chunks of 256. Estimates are therefore bit-identical for a given
-(seed, parameters) regardless of how blocks are scheduled. Every stream
-comes from one block map, :func:`_map_blocks`: it runs the blocks on up to
-one thread per CPU the process may use, and on fewer where blocks are large,
-so that the blocks in flight hold at most :data:`_MEMORY_IN_FLIGHT` bytes,
-or one block where a block alone is larger. No setting changes that. It
-reduces their results in block order, so no bit depends on the thread count.
+The field's harvest draw is itself fixed in order: Poisson beacon counts,
+uniform radii, exponential fades, then one gamma far-field variate per
+trial (see :func:`_ppp_block`). The supply estimators draw each codeword's
+energy as one ``2 * standard_gamma(n / 2)`` variate;
+:func:`check_prefix_equivalence` needs running sums, so it draws the
+symbols themselves, as standard normals in chunks of 256. Estimates are
+therefore bit-identical for a given (seed, parameters) regardless of how
+blocks are scheduled. Every stream comes from one block map,
+:func:`_map_blocks`: it runs the blocks on up to one thread per CPU the
+process may use, and on fewer where blocks are large, so that the blocks in
+flight hold at most :data:`_MEMORY_IN_FLIGHT` bytes, or one block where a
+block alone is larger. No setting changes that. It reduces their results in
+block order, so no bit depends on the thread count.
 """
 
 from __future__ import annotations
@@ -48,24 +51,26 @@ __all__ = [
 BLOCK = 4096
 _SYMBOL_CHUNK = 256
 
-# For Poisson-field sampling, the admissible ratio of neglected far-field
-# mean energy to the total mean (see truncation_radius).
-_TRUNCATION_TAIL = 1e-4
+# Beacons the field's sampling disk expects per trial (see
+# truncation_radius). The far field beyond it is one moment-matched gamma
+# variate per trial, which the disk must dominate. At density 1e-2 and
+# eta = 2.2, with supply 0.9988, 5 beacons biased the supply estimate by
+# z = -17.7 at 2e6 trials, and 20 still by z = -3.5 pooled over 1.6e7;
+# 50 gave z = -0.8 there.
+_DISK_BEACONS = 50
 
 # Most beacons one block of the field may expect. A block in flight holds
 # 8 bytes per beacon for the radii, plus one fade chunk (see _ppp_block), so
-# 2**24 keeps each block's draws near 130 MB, while the densest field the
-# tests and `validate` sample (density 1e-2 at eta = 3.6, about 6.2e6
-# beacons per full block) runs with room to spare, one block at a time.
+# 2**24 keeps each block's draws near 130 MB. Every field with density up
+# to 50/pi expects _DISK_BEACONS per trial, about 2e5 per full block; only
+# a density above about 1300 reaches the cap in a full block.
 _BLOCK_BEACON_CAP = 2 ** 24
 
 # Bytes the blocks of one call may hold in flight together. The block map
 # runs fewer workers where blocks are larger, down to one, so a call holds
-# at most this or one block, whatever the CPU count. 12 MiB is under the
-# 15 MB one block of the `validate` field holds at 24 bytes per beacon
-# (6.2e5 beacons with their radii, fades and owners held whole, as a serial
-# sampler may), so that field, at 5.5 MB a block, runs on two workers with
-# 11 MB in flight on any host.
+# at most this or one block, whatever the CPU count. A full block of the
+# field, at 2e5 beacons, holds about 2.2 MB, so five run at once within
+# 12 MiB; a prefix-check block at n = 1000 (about 32 MB) runs alone.
 _MEMORY_IN_FLIGHT = 12 * 2 ** 20
 
 # Bytes per trial of a block's own arrays (counts, harvest and codeword
@@ -287,22 +292,14 @@ def check_prefix_equivalence(
 
 
 def truncation_radius(net: NetworkParams) -> float:
-    """Sampling disk radius keeping the neglected far-field mean small.
+    """Radius of the disk in which the field is sampled beacon by beacon.
 
-    Beacons beyond radius R contribute mean energy
-    2*pi*density*mu*p_pb*R^(2-eta)/(eta-2); requiring that to be at most
-    :data:`_TRUNCATION_TAIL` of the total mean gives
-    R = (2/(eta*tail))^(1/(eta-2)), independent of density and beacon power.
-    Never below the unit disk.
-
-    Raises:
-        StabilityError: If R leaves the double range (eta close to 2).
+    The disk expects :data:`_DISK_BEACONS` beacons, density*pi*R^2 = K, so R
+    depends on the density alone, not on eta or beacon power. Never below
+    the unit disk, where path loss saturates. The square root is taken of
+    each factor apart, so R stays finite at any positive density.
     """
-    try:
-        r = (2.0 / (net.eta * _TRUNCATION_TAIL)) ** (1.0 / (net.eta - 2.0))
-    except OverflowError:
-        raise StabilityError(f"sampling radius overflows at eta={net.eta!r}") from None
-    return max(r, 1.0)
+    return max(math.sqrt(_DISK_BEACONS / math.pi) / math.sqrt(net.density), 1.0)
 
 
 def _field_harvest(net: NetworkParams, trials: int):
@@ -327,12 +324,22 @@ def _field_harvest(net: NetworkParams, trials: int):
     return lambda rng, size, scratch: _ppp_block(rng, size, scratch, net, radius), draw_bytes
 
 
-def _far_field_mean(net: NetworkParams, radius: float) -> float:
-    """Mean energy of the beacons beyond the sampling disk."""
-    return (
-        2.0 * math.pi * net.density * net.mu * net.p_pb
-        * radius ** (2.0 - net.eta) / (net.eta - 2.0)
-    )
+def _far_field_gamma(net: NetworkParams, radius: float) -> tuple[float, float]:
+    """Shape k and scale theta of the gamma law that stands in for the
+    energy of the beacons beyond the sampling disk.
+
+    By Campbell's theorem that energy has mean M = 2*pi*density*b*R^(2-eta)
+    /(eta-2) and variance V = 4*pi*density*b^2*R^(2-2*eta)/(2*eta-2), with
+    b = mu*p_pb. Matching both, k = M^2/V and theta = V/M, which reduce to
+    k = 2*(density*pi*R^2)*(eta-1)/(eta-2)^2 and
+    theta = b*R^(-eta)*(eta-2)/(eta-1). Taken in this order, neither
+    overflows at any eta > 2, nor underflows to 0/0 where R^(2-2*eta) does.
+    """
+    eta = net.eta
+    per_trial = net.density * math.pi * radius * radius
+    shape = 2.0 * per_trial / (eta - 2.0) * ((eta - 1.0) / (eta - 2.0))
+    scale = net.mu * net.p_pb * radius ** -eta * ((eta - 2.0) / (eta - 1.0))
+    return shape, scale
 
 
 def _ppp_block(
@@ -340,10 +347,12 @@ def _ppp_block(
 ) -> np.ndarray:
     """One block of per-slot harvested energies from the beacon field.
 
-    Beacons beyond the sampling disk are folded in as their deterministic
-    mean: their variance decays like R^(2-2*eta), so at the default radius
-    the replacement error is far below Monte Carlo noise, while dropping
-    them entirely would bias every estimate low by the tail mean.
+    The beacons in the sampling disk are drawn one by one. Those beyond it
+    are one gamma variate per trial with the far field's mean and variance
+    (:func:`_far_field_gamma`), drawn after every fade of the block. The
+    gamma misses the far field's third cumulant (by a factor 2.45 at
+    eta = 2.5), so the disk must carry the shape of the law: at
+    :data:`_DISK_BEACONS` beacons the error stays below Monte Carlo noise.
     """
     counts = rng.poisson(lam=net.density * math.pi * radius * radius, size=size)
     ends = np.cumsum(counts)
@@ -357,7 +366,8 @@ def _ppp_block(
     radii = rng.random(out=_buffer(scratch, "radii", int(ends[-1])))
     np.sqrt(radii, out=radii)
     radii *= radius
-    np.power(radii, net.eta, out=radii)
+    with np.errstate(over="ignore"):  # at huge eta r^eta may be inf: the beacon gives 0
+        np.power(radii, net.eta, out=radii)
     np.maximum(radii, 1.0, out=radii)
     energy = np.empty(size)
     first = start = 0
@@ -371,7 +381,8 @@ def _ppp_block(
         owner = np.repeat(np.arange(last - first), counts[first:last])
         energy[first:last] = np.bincount(owner, weights=contrib, minlength=last - first)
         first, start = last, stop
-    energy += _far_field_mean(net, radius)
+    shape, scale = _far_field_gamma(net, radius)
+    energy += scale * rng.standard_gamma(shape, size)
     return energy
 
 

@@ -227,8 +227,16 @@ def energy_supply_prob(m: int, n: int, a: float) -> float:
 
 
 def energy_outage_prob(m: int, n: int, a: float) -> float:
-    """Complement of :func:`energy_supply_prob`."""
-    return 1.0 - energy_supply_prob(m, n, a)
+    """Complement of :func:`energy_supply_prob`, 1 - (1 + 2a/m)^(-n/2).
+
+    Taken as -expm1 of the supply's logarithm, so it keeps its relative
+    accuracy where the supply is close to 1 and the subtraction would
+    cancel.
+    """
+    _check_count("harvest blocklength m", m)
+    _check_even_n(n)
+    _check_ratio(a)
+    return -math.expm1(-(n / 2.0) * math.log1p(2.0 * a / m))
 
 
 def within_derivation_domain(m: int, a: float) -> bool:

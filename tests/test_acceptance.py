@@ -154,14 +154,24 @@ def test_laplace_ladder_matches_numerical_differentiation():
 
 def test_multi_beacon_supply_matches_monte_carlo():
     cfg = montecarlo.McConfig(trials=100_000, seed=0)
-    m, n, p_t = 1500, 1000, 1.0
-    for density in (1e-3, 5e-3, 1e-2):
-        for p_pb in (1e3, 2e3):
-            net = multi_pb.NetworkParams(density=density, p_pb=p_pb)
-            exact = multi_pb.energy_supply_prob_mp(m, n, p_t, net)
-            est = montecarlo.estimate_supply_prob_mp(m, n, p_t, net, cfg)
-            z = abs(est.mean - exact) / max(est.std_err, 1e-12)
-            assert z < 3.0, (density, p_pb, exact, est.mean, z)
+    n, p_t = 1000, 1.0
+    cases = [
+        (multi_pb.NetworkParams(density=density, p_pb=p_pb), 1500)
+        for density in (1e-3, 5e-3, 1e-2)
+        for p_pb in (1e3, 2e3)
+    ]
+    # Fields near eta = 2, which a disk sized by the far-field mean could
+    # not sample; m is chosen per eta so that the supply stays inside (0, 1).
+    cases += [
+        (multi_pb.NetworkParams(density=1e-3, p_pb=p_pb, eta=eta), m)
+        for eta, m in ((2.5, 300), (3.0, 1500))
+        for p_pb in (1e3, 2e3)
+    ]
+    for net, m in cases:
+        exact = multi_pb.energy_supply_prob_mp(m, n, p_t, net)
+        est = montecarlo.estimate_supply_prob_mp(m, n, p_t, net, cfg)
+        z = abs(est.mean - exact) / max(est.std_err, 1e-12)
+        assert z < 3.0, (net, m, exact, est.mean, z)
 
 
 # ----------------------------------------------------------------

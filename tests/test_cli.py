@@ -464,16 +464,14 @@ FIELD_MC = ["pes", "--mode", "multi", "-m", "100", "-n", "10", "--pt", "1",
         (["validate", "--mc-trials", "0"], "trials must be an integer >= 2"),
         (["pes", "-m", "100", "-n", "50", "-a", "0.1", "--mc-trials", "0"],
          "trials must be an integer >= 1"),
-        (FIELD_MC + ["--eta", "2.01", "--mc-trials", "1"], "sampling radius overflows"),
-        (FIELD_MC + ["--eta", "2.2", "--mc-trials", "1"], "field too dense to sample"),
+        (FIELD_MC + ["--lambda", "1e20", "--mc-trials", "1"], "field too dense to sample"),
         (FIELD_MC + ["--lambda", "1e100", "--mc-trials", "10"], "field too dense to sample"),
-        (FIELD_MC + ["--eta", "3", "--mc-trials", "100000"], "field too dense to sample"),
+        (FIELD_MC + ["--lambda", "1e4", "--mc-trials", "100000"], "field too dense to sample"),
     ],
     ids=["optpower-pe-inf", "optpower-budget-overflow", "optpower-bracket-underflow",
          "validate-1-trial",
          "validate-0-trials", "pes-0-trials",
-         "field-radius-overflow", "field-poisson-overflow", "field-dense",
-         "field-block-too-large"],
+         "field-poisson-overflow", "field-dense", "field-block-too-large"],
 )
 def test_out_of_range_input_is_one_error_line(capsys, argv, message):
     # these printed nan, ran 20 000 trials, dropped the MC columns, raised

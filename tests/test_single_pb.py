@@ -45,6 +45,20 @@ def test_supply_prob_reference_value():
     )
 
 
+@pytest.mark.parametrize(
+    "m, n, a, outage",
+    [
+        (10 ** 6, 2, 0.1, 1.999999600000080111e-7),
+        (10 ** 12, 4, 0.1, 3.999999999998800222e-13),
+    ],
+    ids=["m-1e6", "m-1e12"],
+)
+def test_outage_prob_reference_value(m, n, a, outage):
+    # frozen: mpmath 1 - (1 + 2a/m)^(-n/2) at 50 digits, with a the double
+    # 0.1. One minus the supply loses 1.9e-10 and 3.3e-5 relative here.
+    assert energy_outage_prob(m, n, a) == pytest.approx(outage, rel=1e-15, abs=0.0)
+
+
 def test_supply_prob_edge_cases():
     assert energy_supply_prob(10, 4, 0.0) == 1.0
     assert energy_outage_prob(10, 4, 0.0) == 0.0
