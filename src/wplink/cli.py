@@ -148,25 +148,34 @@ def _int_arg(text: str) -> int:
     return int(value)
 
 
+# Every config-settable flag, keyed by its config key: (dest, type, built-in
+# default, help). The parser, the config reader, the defaults merge and the
+# sweep all read this table. A one-letter key is the flag -key, any other
+# --key with dashes for underscores.
 _CONFIG_KEYS = {
-    "mode": ("mode", str),
-    "pt": ("pt", float),
-    "pe": ("pe", float),
-    "sigma2": ("sigma2", float),
-    "eps": ("eps", float),
-    "a": ("a", float),
-    "m": ("m", _int_arg),
-    "n": ("n", _int_arg),
-    "lambda": ("density", float),
-    "ppb": ("ppb", float),
-    "mu": ("mu", float),
-    "eta": ("eta", float),
-    "mc_trials": ("mc_trials", _int_arg),
-    "seed": ("seed", _int_arg),
-    "sweep": ("sweep", str),
+    "mode": ("mode", str, "single", "link model: one dedicated beacon or a beacon field"),
+    "pt": ("pt", float, None, "transmit power"),
+    "pe": ("pe", float, None, "mean harvested power (single mode)"),
+    "sigma2": ("sigma2", float, 1.0, "receiver noise power (default 1)"),
+    "eps": ("eps", float, None, "decoding error tolerance"),
+    "m": ("m", _int_arg, None, "harvesting slots"),
+    "n": ("n", _int_arg, None, "transmission slots"),
+    "a": ("a", float, None, "power ratio pt/pe"),
+    "lambda": ("density", float, None, "beacon density (multi mode)"),
+    "ppb": ("ppb", float, None, "beacon transmit power (multi mode)"),
+    "mu": ("mu", float, 1.0, "rectifier efficiency (default 1)"),
+    "eta": ("eta", float, 3.6, "path loss exponent (default 3.6)"),
+    "mc_trials": ("mc_trials", _int_arg, None, "Monte Carlo trials (enables MC columns)"),
+    "seed": ("seed", _int_arg, 0, "Monte Carlo seed (default 0)"),
+    "sweep": ("sweep", str, None, f"sweep one variable ({', '.join(_SWEEPABLE)})"),
 }
 
-_HARD_DEFAULTS = {"mode": "single", "sigma2": 1.0, "mu": 1.0, "eta": 3.6, "seed": 0}
+# How two flags show in --help and usage. A config value of mode is checked
+# by _finalize instead of by argparse's choices.
+_FLAG_DISPLAY = {
+    "mode": {"choices": ("single", "multi")},
+    "sweep": {"metavar": "VAR:START:STOP:POINTS[:log]"},
+}
 
 
 def _load_config(path: str) -> dict:
@@ -182,7 +191,7 @@ def _load_config(path: str) -> dict:
             key = key.strip().lower().replace("-", "_")
             if key not in _CONFIG_KEYS:
                 raise DomainError(f"{path}:{lineno}: unknown config key {key!r}")
-            dest, cast = _CONFIG_KEYS[key]
+            dest, cast, _, _ = _CONFIG_KEYS[key]
             text = text.strip()
             try:
                 values[dest] = cast(text)
@@ -192,18 +201,16 @@ def _load_config(path: str) -> dict:
 
 
 def _finalize(args) -> None:
-    """Merge config-file values and hard defaults into the parsed flags."""
-    if getattr(args, "config", None):
-        for dest, value in _load_config(args.config).items():
-            if getattr(args, dest, None) is None:
-                setattr(args, dest, value)
-    for dest, value in _HARD_DEFAULTS.items():
+    """Fill each config key's flag left unset: config-file value, else the
+    built-in default."""
+    config = _load_config(args.config) if args.config else {}
+    for dest, _, default, _ in _CONFIG_KEYS.values():
         if getattr(args, dest, None) is None:
-            setattr(args, dest, value)
+            setattr(args, dest, config.get(dest, default))
     if args.mode not in ("single", "multi"):
         raise DomainError(f"mode must be 'single' or 'multi', got {args.mode!r}")
-    sweep = getattr(args, "sweep", None)
-    args.sweep = _parse_sweep(sweep) if isinstance(sweep, str) else sweep
+    if args.sweep is not None:
+        args.sweep = _parse_sweep(args.sweep)
 
 
 # ------------------------------------------------------ parameter plumbing
@@ -258,7 +265,7 @@ def _run(args, point, lead: list[str], values: list[str]) -> int:
         _emit(lead + values, [lead_cells + cells], args.out)
         return 0
     ns = argparse.Namespace(**vars(args))
-    dest = "density" if sweep.variable == "lambda" else sweep.variable
+    dest = _CONFIG_KEYS[sweep.variable][0]
     rows = []
     for value in sweep.grid:
         setattr(ns, dest, _swept(dest, value))
@@ -698,37 +705,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "for wirelessly powered links.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--mode", choices=("single", "multi"), default=None,
-                        help="link model: one dedicated beacon or a beacon field")
-    common.add_argument("--pt", type=float, default=None, help="transmit power")
-    common.add_argument("--pe", type=float, default=None,
-                        help="mean harvested power (single mode)")
-    common.add_argument("--sigma2", type=float, default=None,
-                        help="receiver noise power (default 1)")
-    common.add_argument("--eps", type=float, default=None, help="decoding error tolerance")
-    common.add_argument("-m", type=_int_arg, default=None, help="harvesting slots")
-    common.add_argument("-n", type=_int_arg, default=None, help="transmission slots")
-    common.add_argument("-a", type=float, default=None, help="power ratio pt/pe")
-    common.add_argument("--lambda", dest="density", type=float, default=None,
-                        help="beacon density (multi mode)")
-    common.add_argument("--ppb", type=float, default=None,
-                        help="beacon transmit power (multi mode)")
-    common.add_argument("--mu", type=float, default=None,
-                        help="rectifier efficiency (default 1)")
-    common.add_argument("--eta", type=float, default=None,
-                        help="path loss exponent (default 3.6)")
-    common.add_argument("--mc-trials", dest="mc_trials", type=_int_arg, default=None,
-                        help="Monte Carlo trials (enables MC columns)")
-    common.add_argument("--seed", type=_int_arg, default=None,
-                        help="Monte Carlo seed (default 0)")
+    sweepable = argparse.ArgumentParser(add_help=False)
+    for key, (dest, kind, _, text) in _CONFIG_KEYS.items():
+        flag = f"-{key}" if len(key) == 1 else "--" + key.replace("_", "-")
+        (sweepable if key == "sweep" else common).add_argument(
+            flag, dest=dest, type=kind, default=None, help=text, **_FLAG_DISPLAY.get(key, {})
+        )
     common.add_argument("--config", default=None,
                         help="flat key=value file; flags override file values")
     common.add_argument("--out", default=None,
                         help="output CSV path (figure: output directory)")
-
-    sweepable = argparse.ArgumentParser(add_help=False)
-    sweepable.add_argument("--sweep", default=None, metavar="VAR:START:STOP:POINTS[:log]",
-                           help=f"sweep one variable ({', '.join(_SWEEPABLE)})")
 
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("pes", parents=[common, sweepable],

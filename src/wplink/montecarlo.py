@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .multi_pb import NetworkParams, StabilityError
-from .single_pb import DomainError, _check_count, _check_positive, _check_power
+from .single_pb import DomainError, _check_count, _check_nonnegative, _check_positive
 
 __all__ = [
     "BLOCK",
@@ -194,7 +194,7 @@ def _buffer(scratch: dict, name: str, size: int) -> np.ndarray:
 
 def _check_frame(m: int, n: int, p_t: float) -> tuple[int, int]:
     """Slot counts >= 1 (a chi-squared(n) energy needs no even n) and p_t."""
-    _check_power(p_t)
+    _check_nonnegative("p_t", p_t)
     return _check_count("harvest blocklength m", m), _check_count("transmit blocklength n", n)
 
 

@@ -31,7 +31,7 @@ import numpy as np
 from scipy.special import betainc, betaincc, betaln, hyp2f1
 
 from . import single_pb
-from .single_pb import DomainError, _check_count, _check_even_n, _check_positive, _check_power
+from .single_pb import DomainError, _check_count, _check_even_n, _check_nonnegative, _check_positive
 
 __all__ = [
     "NetworkParams",
@@ -91,8 +91,7 @@ class NetworkParams:
     eta: float = 3.6
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.density < math.inf):
-            raise DomainError(f"density must be finite and > 0, got {self.density!r}")
+        _check_positive("density", self.density, finite=True)
         _check_positive("p_pb", self.p_pb)
         if not (0.0 < self.mu <= 1.0):
             raise DomainError(f"mu must lie in (0, 1], got {self.mu!r}")
@@ -166,8 +165,7 @@ def _log_laplace(u: float, net: NetworkParams) -> float:
 
 def laplace_z(s: float, net: NetworkParams) -> float:
     """Laplace transform E[exp(-s Z)] of the per-slot harvested energy."""
-    if not (s >= 0.0):
-        raise DomainError(f"s must be >= 0, got {s!r}")
+    _check_nonnegative("s", s)
     if s == 0.0:
         return 1.0
     u = net.p_pb * net.mu * s
@@ -302,7 +300,7 @@ def _check_supply_args(m: int, n: int, p_t: float) -> None:
     _check_even_n(n)
     if n // 2 > _SERIES_CAP:
         raise DomainError(f"n/2 = {n // 2} exceeds the series cap {_SERIES_CAP}")
-    _check_power(p_t, finite=True)
+    _check_nonnegative("p_t", p_t, finite=True)
 
 
 def _outage_series(count: int, u: float, net: NetworkParams) -> tuple[float, float, float]:
@@ -522,7 +520,7 @@ def achievable_rate_mp(
     p_t/sigma2; feasibility requires the transmit blocklength to reach the
     error-target floor and the supply probability to reach 2/(2+eps).
     """
-    _check_power(p_t)
+    _check_nonnegative("p_t", p_t)
     _check_positive("sigma2", sigma2)
     raw = single_pb._raw_rate_nats(plan.m, plan.n, p_t / sigma2, plan.epsilon)
     if plan.epsilon == 0.0:

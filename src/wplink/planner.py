@@ -14,7 +14,8 @@ import math
 from typing import NamedTuple
 
 from . import multi_pb, single_pb
-from .single_pb import UnsatisfiableError, _check_epsilon, _check_even_n, _check_ratio, _harvest_len
+from .single_pb import (UnsatisfiableError, _check_epsilon, _check_even_n,
+                        _check_nonnegative, _harvest_len)
 
 __all__ = [
     "ScalingRate",
@@ -99,7 +100,7 @@ def scaling_rate(a: float, epsilon: float) -> ScalingRate:
     approximation 2a/eps.
     """
     _check_epsilon(epsilon)
-    _check_ratio(a)
+    _check_nonnegative("power ratio a", a)
     return ScalingRate(
         exact=a / math.log1p(0.5 * epsilon),
         small_eps=2.0 * a / epsilon,
@@ -109,5 +110,5 @@ def scaling_rate(a: float, epsilon: float) -> ScalingRate:
 def harvest_overhead(a: float, epsilon: float) -> float:
     """Frame-length inflation factor from harvesting: 1 + 2a/eps."""
     _check_epsilon(epsilon)
-    _check_ratio(a)
+    _check_nonnegative("power ratio a", a)
     return 1.0 + 2.0 * a / epsilon

@@ -116,15 +116,10 @@ def _check_epsilon(epsilon: float, zero_ok: bool = False) -> None:
         raise DomainError(f"epsilon must lie in {interval}, got {epsilon!r}")
 
 
-def _check_ratio(a: float) -> None:
-    if not (a >= 0.0):
-        raise DomainError(f"power ratio a must be >= 0, got {a!r}")
-
-
-def _check_power(p_t: float, finite: bool = False) -> None:
-    """A transmit power >= 0; ``finite`` where a series needs a finite one."""
-    if not (p_t >= 0.0 and (p_t < math.inf or not finite)):
-        raise DomainError(f"p_t must be {'finite and ' if finite else ''}>= 0, got {p_t!r}")
+def _check_nonnegative(name: str, value: float, finite: bool = False) -> None:
+    """A value >= 0; ``finite`` where it must also be finite."""
+    if not (value >= 0.0 and (value < math.inf or not finite)):
+        raise DomainError(f"{name} must be {'finite and ' if finite else ''}>= 0, got {value!r}")
 
 
 def _check_positive(name: str, value: float, finite: bool = False) -> None:
@@ -153,7 +148,7 @@ class LinkParams:
     sigma2: float = 1.0
 
     def __post_init__(self) -> None:
-        _check_power(self.p_t)
+        _check_nonnegative("p_t", self.p_t)
         _check_positive("p_e", self.p_e)
         _check_positive("sigma2", self.sigma2)
 
@@ -222,7 +217,7 @@ def energy_supply_prob(m: int, n: int, a: float) -> float:
     """
     _check_count("harvest blocklength m", m)
     _check_even_n(n)
-    _check_ratio(a)
+    _check_nonnegative("power ratio a", a)
     return math.exp(-(n / 2.0) * math.log1p(2.0 * a / m))
 
 
@@ -235,7 +230,7 @@ def energy_outage_prob(m: int, n: int, a: float) -> float:
     """
     _check_count("harvest blocklength m", m)
     _check_even_n(n)
-    _check_ratio(a)
+    _check_nonnegative("power ratio a", a)
     return -math.expm1(-(n / 2.0) * math.log1p(2.0 * a / m))
 
 
@@ -266,7 +261,7 @@ def min_power_ratio(m: int, n: int, rho: float) -> float:
 
 def asymptotic_supply_limit(a: float, c: float) -> float:
     """Large-frame limit of the supply probability along m = c*n."""
-    _check_ratio(a)
+    _check_nonnegative("power ratio a", a)
     _check_positive("proportionality constant c", c)
     return math.exp(-a / c)
 
@@ -307,7 +302,7 @@ def harvest_floor_real(n: float, a: float, epsilon: float) -> float:
     where the floor leaves the double range.
     """
     _check_positive("n", n)
-    _check_ratio(a)
+    _check_nonnegative("power ratio a", a)
     _check_epsilon(epsilon)
     return _harvest_floor(a, _floor_growth(n, epsilon))
 
@@ -428,7 +423,7 @@ def capacity_prelog(a: float, epsilon: float) -> float:
     1 / (1 + a/ln(1+eps/2)), in [0, 1]. At epsilon = 0 the prelog is 1 for
     a = 0 and 0 otherwise (the overhead diverges).
     """
-    _check_ratio(a)
+    _check_nonnegative("power ratio a", a)
     _check_epsilon(epsilon, zero_ok=True)
     if epsilon == 0.0:
         return 1.0 if a == 0.0 else 0.0

@@ -421,6 +421,36 @@ def test_help_exits_0(capsys, command):
     assert capsys.readouterr().out.startswith("usage: wplink")
 
 
+# The usage paragraph of each subcommand at 80 columns, as the hand-written
+# parser printed it before the flags were built from cli._CONFIG_KEYS: the
+# flags' order, names, metavars and choices.
+USAGE_COMMON = [
+    "[-h] [--mode {single,multi}] [--pt PT] [--pe PE]",
+    "[--sigma2 SIGMA2] [--eps EPS] [-m M] [-n N] [-a A]",
+    "[--lambda DENSITY] [--ppb PPB] [--mu MU] [--eta ETA]",
+    "[--mc-trials MC_TRIALS] [--seed SEED] [--config CONFIG]",
+]
+USAGE_SWEEPABLE = ["[--out OUT] [--sweep VAR:START:STOP:POINTS[:log]]"]
+USAGE_TAIL = {
+    "pes": USAGE_SWEEPABLE,
+    "rate": USAGE_SWEEPABLE,
+    "optpower": USAGE_SWEEPABLE,
+    "plan": USAGE_SWEEPABLE,
+    "figure": ["[--out OUT] [--svg]", "{fig2,fig3,fig4,fig5,fig6,fig7}"],
+    "validate": ["[--out OUT]"],
+}
+
+
+@pytest.mark.parametrize("command", USAGE_TAIL)
+def test_usage_lists_the_flags_in_order(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps at the terminal width
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    head = f"usage: wplink {command} "
+    assert usage == head + ("\n" + " " * len(head)).join(USAGE_COMMON + USAGE_TAIL[command])
+
+
 @pytest.mark.parametrize(
     "value", ["inf", "nan", "2.5", "1" + "0" * 400], ids=["inf", "nan", "2.5", "1e400"]
 )
