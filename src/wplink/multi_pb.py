@@ -518,10 +518,12 @@ def achievable_rate_mp(
 
     The rate expression matches the single-beacon bound with SNR
     p_t/sigma2; feasibility requires the transmit blocklength to reach the
-    error-target floor and the supply probability to reach 2/(2+eps).
+    error-target floor and the supply probability to reach 2/(2+eps). p_t
+    and the SNR must be finite, as in :class:`single_pb.LinkParams`.
     """
     _check_nonnegative("p_t", p_t)
     _check_positive("sigma2", sigma2)
+    single_pb._check_snr(p_t, sigma2)
     raw = single_pb._raw_rate_nats(plan.m, plan.n, p_t / sigma2, plan.epsilon)
     if plan.epsilon == 0.0:
         feasible = p_t == 0.0

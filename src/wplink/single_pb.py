@@ -128,6 +128,14 @@ def _check_positive(name: str, value: float, finite: bool = False) -> None:
         raise DomainError(f"{name} must be {'finite and ' if finite else ''}> 0, got {value!r}")
 
 
+def _check_snr(p_t: float, sigma2: float) -> None:
+    """A finite p_t whose SNR p_t/sigma2 is finite too: at an infinite SNR
+    the rate bound's gamma/(gamma + 1) is NaN. Called after the sign checks
+    of p_t and sigma2, so that only an infinite value reaches it."""
+    _check_nonnegative("p_t", p_t, finite=True)
+    _check_nonnegative("SNR p_t/sigma2", p_t / sigma2, finite=True)
+
+
 # =============================================================================
 # Core parameter types
 # =============================================================================
@@ -138,9 +146,9 @@ class LinkParams:
     """Physical parameters of one powered link.
 
     Attributes:
-        p_t: Transmit power (energy per channel use), >= 0.
+        p_t: Transmit power (energy per channel use), finite and >= 0.
         p_e: Mean harvested power (energy per channel use), > 0.
-        sigma2: Receiver noise power, > 0.
+        sigma2: Receiver noise power, > 0, with a finite SNR p_t/sigma2.
     """
 
     p_t: float
@@ -151,6 +159,7 @@ class LinkParams:
         _check_nonnegative("p_t", self.p_t)
         _check_positive("p_e", self.p_e)
         _check_positive("sigma2", self.sigma2)
+        _check_snr(self.p_t, self.sigma2)
 
     @property
     def a(self) -> float:

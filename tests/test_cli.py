@@ -512,6 +512,28 @@ def test_out_of_range_input_is_one_error_line(capsys, argv, message):
     assert len(err.splitlines()) == 1 and err.startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("rate -n 2026 --pt 1e300 --pe 1e300 --sigma2 1e-300 --eps 0.05", "SNR p_t/sigma2"),
+        ("rate --mode multi -n 2026 --pt 1e-3 --sigma2 1e-320 --lambda 1e-3 --ppb 1e3 --eps 0.05",
+         "SNR p_t/sigma2"),
+        ("rate -m 100 -n 2026 -a 1e300 --pe 1e10 --eps 0.05", "p_t must be finite"),
+        ("rate -m 100 -n 2026 -a inf --eps 0.05", "p_t must be finite"),
+        ("rate --mode multi -m 100 -n 50 --eps 0.05 --pt inf --lambda 1e-3 --ppb 1e3",
+         "p_t must be finite"),
+    ],
+    ids=["single-snr-overflow", "multi-snr-overflow", "single-pt-overflow", "single-a-inf",
+         "multi-pt-inf"],
+)
+def test_infinite_snr_is_one_error_line(capsys, argv, message):
+    # these printed a NaN rate, feasible, or a NaN asymptotic rate
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {message}")
+
+
 def test_optpower_harvest_floor_overflow_is_one_error_line(capsys):
     code, out, err = run_cli(capsys, "optpower", "--pe", "1e300", "--eps", "1e-300")
     assert code == 3

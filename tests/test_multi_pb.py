@@ -526,3 +526,18 @@ def test_rate_mp_validation():
         achievable_rate_mp(plan, -1.0, 1.0, NET)
     with pytest.raises(DomainError):
         achievable_rate_mp(plan, 1.0, 0.0, NET)
+
+
+@pytest.mark.parametrize(
+    "p_t, sigma2, message",
+    [
+        (1e-3, 1e-320, "SNR p_t/sigma2 must be finite and >= 0, got inf"),
+        (math.inf, 1.0, "p_t must be finite and >= 0, got inf"),
+    ],
+)
+def test_rate_mp_rejects_an_infinite_snr(p_t, sigma2, message):
+    # an infinite SNR gave rate_nats=nan; below the transmit floor no supply
+    # check ran, so not even an infinite p_t raised
+    plan = BlocklengthPlan(m=100, n=50, epsilon=0.05)
+    with pytest.raises(DomainError, match=message):
+        achievable_rate_mp(plan, p_t, sigma2, NET)

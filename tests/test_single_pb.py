@@ -470,3 +470,18 @@ def test_link_params_validation():
         BlocklengthPlan(m=-1, n=4, epsilon=0.1)
     with pytest.raises(DomainError):
         BlocklengthPlan(m=1, n=4, epsilon=1.0)
+
+
+@pytest.mark.parametrize(
+    "p_t, sigma2, message",
+    [
+        (1e300, 1e-300, "SNR p_t/sigma2 must be finite and >= 0, got inf"),
+        (1.0, 5e-324, "SNR p_t/sigma2 must be finite and >= 0, got inf"),
+        (math.inf, 1.0, "p_t must be finite and >= 0, got inf"),
+    ],
+)
+def test_link_params_reject_an_infinite_snr(p_t, sigma2, message):
+    # an infinite SNR made the rate bound's gamma/(gamma + 1) NaN, and
+    # achievable_rate_fbl returned rate_nats=nan with feasible=True
+    with pytest.raises(DomainError, match=message):
+        achievable_rate_fbl(BlocklengthPlan(10**6, 2026, 0.05), LinkParams(p_t, 1e300, sigma2))
