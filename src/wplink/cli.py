@@ -217,10 +217,14 @@ def _finalize(args) -> None:
 
 
 def _resolve_single(args) -> tuple[float, float, float]:
-    """Pin down (a, p_t, p_e) from whichever flags were given."""
+    """Pin down (a, p_t, p_e) from whichever flags were given. A given p_t or
+    p_e must be finite; an a that is not finite contradicts any finite pt/pe."""
     a, p_t, p_e = args.a, args.pt, args.pe
     if p_e is not None:
-        single_pb._check_positive("p_e", p_e)
+        single_pb._check_positive("p_e", p_e)  # first, for its own message at 0
+        single_pb._check_positive("p_e", p_e, finite=True)
+    if p_t is not None:
+        single_pb._check_nonnegative("p_t", p_t, finite=True)
     if a is None:
         if p_t is None or p_e is None:
             raise DomainError("single mode needs -a, or --pt together with --pe")
@@ -233,8 +237,9 @@ def _resolve_single(args) -> tuple[float, float, float]:
         return a, p_t, p_t / a
     if p_t is None:
         return a, a * p_e, p_e
-    if abs(p_t / p_e - a) > 1e-9 * max(abs(a), 1.0):
-        raise DomainError(f"inconsistent flags: a={a!r} but pt/pe={p_t / p_e!r}")
+    ratio = p_t / p_e
+    if ratio != a and not (math.isfinite(a) and abs(ratio - a) <= 1e-9 * max(abs(a), 1.0)):
+        raise DomainError(f"inconsistent flags: a={a!r} but pt/pe={ratio!r}")
     return a, p_t, p_e
 
 

@@ -80,7 +80,7 @@ class NetworkParams:
 
     Attributes:
         density: Beacon density (nodes per unit area), finite and > 0.
-        p_pb: Beacon transmit power (energy per channel use), > 0.
+        p_pb: Beacon transmit power (energy per channel use), finite and > 0.
         mu: Rectifier efficiency, in (0, 1].
         eta: Path loss exponent, finite and > 2.
     """
@@ -92,7 +92,8 @@ class NetworkParams:
 
     def __post_init__(self) -> None:
         _check_positive("density", self.density, finite=True)
-        _check_positive("p_pb", self.p_pb)
+        _check_positive("p_pb", self.p_pb)  # first, for its own message at 0
+        _check_positive("p_pb", self.p_pb, finite=True)
         if not (0.0 < self.mu <= 1.0):
             raise DomainError(f"mu must lie in (0, 1], got {self.mu!r}")
         if not (2.0 < self.eta < math.inf):
@@ -518,8 +519,8 @@ def achievable_rate_mp(
 
     The rate expression matches the single-beacon bound with SNR
     p_t/sigma2; feasibility requires the transmit blocklength to reach the
-    error-target floor and the supply probability to reach 2/(2+eps). p_t
-    and the SNR must be finite, as in :class:`single_pb.LinkParams`.
+    error-target floor and the supply probability to reach 2/(2+eps). p_t,
+    sigma2 and the SNR must be finite, as in :class:`single_pb.LinkParams`.
     """
     _check_nonnegative("p_t", p_t)
     _check_positive("sigma2", sigma2)

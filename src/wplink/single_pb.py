@@ -129,10 +129,11 @@ def _check_positive(name: str, value: float, finite: bool = False) -> None:
 
 
 def _check_snr(p_t: float, sigma2: float) -> None:
-    """A finite p_t whose SNR p_t/sigma2 is finite too: at an infinite SNR
-    the rate bound's gamma/(gamma + 1) is NaN. Called after the sign checks
-    of p_t and sigma2, so that only an infinite value reaches it."""
+    """Finite p_t and sigma2 whose SNR p_t/sigma2 is finite too: at an
+    infinite SNR the rate bound's gamma/(gamma + 1) is NaN. Called after the
+    sign checks of p_t and sigma2, so that only an infinite value reaches it."""
     _check_nonnegative("p_t", p_t, finite=True)
+    _check_positive("sigma2", sigma2, finite=True)
     _check_nonnegative("SNR p_t/sigma2", p_t / sigma2, finite=True)
 
 
@@ -147,8 +148,9 @@ class LinkParams:
 
     Attributes:
         p_t: Transmit power (energy per channel use), finite and >= 0.
-        p_e: Mean harvested power (energy per channel use), > 0.
-        sigma2: Receiver noise power, > 0, with a finite SNR p_t/sigma2.
+        p_e: Mean harvested power (energy per channel use), finite and > 0.
+        sigma2: Receiver noise power, finite and > 0, with a finite SNR
+            p_t/sigma2.
     """
 
     p_t: float
@@ -159,6 +161,7 @@ class LinkParams:
         _check_nonnegative("p_t", self.p_t)
         _check_positive("p_e", self.p_e)
         _check_positive("sigma2", self.sigma2)
+        _check_positive("p_e", self.p_e, finite=True)
         _check_snr(self.p_t, self.sigma2)
 
     @property

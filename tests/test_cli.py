@@ -3,6 +3,7 @@
 # covers the module entry point.
 
 import hashlib
+import itertools
 import pathlib
 import re
 import shlex
@@ -649,6 +650,68 @@ def test_inconsistent_powers_rejected(capsys):
         capsys, "pes", "-m", "2", "-n", "2", "-a", "1.0", "--pt", "3", "--pe", "1"
     )
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("pes -m 2 -n 2 -a 5 --pe inf", "p_e must be finite and > 0, got inf"),
+        ("pes -m 2 -n 2 --pt inf --pe 1", "p_t must be finite and >= 0, got inf"),
+        ("plan --eps 0.05 -a 0.0012 --pt nan", "p_t must be finite and >= 0, got nan"),
+        ("rate -m 100 -n 2026 -a 1 --sigma2 inf --eps 0.05",
+         "sigma2 must be finite and > 0, got inf"),
+        ("rate -m 100 -n 2026 -a 1 --pe inf --eps 0.05", "p_e must be finite and > 0, got inf"),
+        ("pes --mode multi -m 2 -n 2 --pt 1 --lambda 1e-3 --ppb inf",
+         "p_pb must be finite and > 0, got inf"),
+        ("rate --mode multi -m 200 -n 2026 --pt 1e-3 --sigma2 inf --lambda 1e-3 --ppb 1e3 "
+         "--eps 0.05", "sigma2 must be finite and > 0, got inf"),
+        ("pes -m 2 -n 2 -a inf --pt 1 --pe 1", "inconsistent flags: a=inf but pt/pe=1.0"),
+        ("rate -m 100 -n 2026 -a inf --pt 1 --pe 1 --eps 0.05",
+         "inconsistent flags: a=inf but pt/pe=1.0"),
+        ("rate -m 100 -n 2026 -a nan --pt 1 --pe 1 --eps 0.05",
+         "inconsistent flags: a=nan but pt/pe=1.0"),
+    ],
+    ids=["single-pe-inf", "single-pt-inf", "single-pt-nan", "single-sigma2-inf",
+         "single-derived-pt-inf", "multi-ppb-inf", "multi-sigma2-inf", "pes-a-inf-contradicts",
+         "rate-a-inf-contradicts", "rate-a-nan-contradicts"],
+)
+def test_non_finite_power_is_one_error_line(capsys, argv, message):
+    # each printed a row, or an error naming a value no flag gave; with pt/pe
+    # given, a = inf passed the consistency test as inf > inf (and a = nan as
+    # nan > x), and rate then ran at pt/pe = 1 while pes ran at a = inf
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
+# Every power flag of a command over these values, each flag also left out
+POWER_VALUES = [None, "0", "1e-300", "1e300", "inf", "nan", "-1"]
+POWER_GRID = {
+    "pes-single": (["pes", "-m", "100", "-n", "50"], ["-a", "--pt", "--pe"]),
+    "rate-single": (["rate", "-m", "100", "-n", "2026", "--eps", "0.05"],
+                    ["-a", "--pt", "--pe", "--sigma2"]),
+    "rate-single-planned": (["rate", "--eps", "0.05"], ["-a", "--pt", "--pe"]),
+    "pes-multi": (["pes", "--mode", "multi", "-m", "100", "-n", "50", "--lambda", "1e-3"],
+                  ["--pt", "--ppb"]),
+    "rate-multi": (["rate", "--mode", "multi", "-m", "200", "-n", "2026", "--eps", "0.05",
+                    "--lambda", "1e-3"], ["--pt", "--ppb", "--sigma2"]),
+    "rate-multi-planned": (["rate", "--mode", "multi", "-n", "50", "--eps", "0.5",
+                            "--lambda", "1e-3"], ["--pt", "--ppb", "--sigma2"]),
+}
+
+
+@pytest.mark.parametrize("grid", POWER_GRID)
+def test_no_power_grid_cell_is_nan(capsys, grid):
+    base, flags = POWER_GRID[grid]
+    failures = []
+    for values in itertools.product(POWER_VALUES, repeat=len(flags)):
+        argv = base + [f"{f}={v}" for f, v in zip(flags, values) if v is not None]
+        code, out, err = run_cli(capsys, *argv)
+        if code == 0:
+            if any("nan" in cell for row in rows(out)[1] for cell in row):
+                failures.append(f"{argv}: {out!r}")
+        elif code != 3 or out or len(err.splitlines()) != 1 or not err.startswith("error:"):
+            failures.append(f"{argv}: exit {code}, {err!r}")
+    assert not failures, failures
 
 
 def test_monte_carlo_output_is_deterministic(capsys):

@@ -2,6 +2,7 @@
 # ladders, and the series-based supply probability.
 
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -100,6 +101,16 @@ def test_network_params_validation():
         NetworkParams(density=1e-3, p_pb=1e3, mu=1.5)
     with pytest.raises(DomainError):
         NetworkParams(density=1e-3, p_pb=1e3, eta=2.0)
+
+
+@pytest.mark.parametrize(
+    "p_pb, message",
+    [(math.inf, "p_pb must be finite and > 0, got inf"), (0.0, "p_pb must be > 0, got 0.0")],
+)
+def test_network_params_need_a_finite_beacon_power(p_pb, message):
+    # an infinite p_pb made every supply 1 (pes printed 1); p_pb = 0 keeps its message
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        NetworkParams(density=1e-3, p_pb=p_pb)
 
 
 def test_network_params_rejects_infinite_eta():

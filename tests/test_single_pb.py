@@ -2,6 +2,7 @@
 # bounds, and the optimal-power solutions.
 
 import math
+import re
 
 import mpmath as mp
 import pytest
@@ -473,15 +474,20 @@ def test_link_params_validation():
 
 
 @pytest.mark.parametrize(
-    "p_t, sigma2, message",
+    "p_t, p_e, sigma2, message",
     [
-        (1e300, 1e-300, "SNR p_t/sigma2 must be finite and >= 0, got inf"),
-        (1.0, 5e-324, "SNR p_t/sigma2 must be finite and >= 0, got inf"),
-        (math.inf, 1.0, "p_t must be finite and >= 0, got inf"),
+        (1e300, 1e300, 1e-300, "SNR p_t/sigma2 must be finite and >= 0, got inf"),
+        (1.0, 1e300, 5e-324, "SNR p_t/sigma2 must be finite and >= 0, got inf"),
+        (math.inf, 1e300, 1.0, "p_t must be finite and >= 0, got inf"),
+        (1.0, math.inf, 1.0, "p_e must be finite and > 0, got inf"),
+        (1.0, 1.0, math.inf, "sigma2 must be finite and > 0, got inf"),
+        (1.0, 0.0, 1.0, "p_e must be > 0, got 0.0"),
+        (-1.0, 1.0, 1.0, "p_t must be >= 0, got -1.0"),
     ],
 )
-def test_link_params_reject_an_infinite_snr(p_t, sigma2, message):
+def test_link_params_reject_non_finite_powers(p_t, p_e, sigma2, message):
     # an infinite SNR made the rate bound's gamma/(gamma + 1) NaN, and
-    # achievable_rate_fbl returned rate_nats=nan with feasible=True
-    with pytest.raises(DomainError, match=message):
-        achievable_rate_fbl(BlocklengthPlan(10**6, 2026, 0.05), LinkParams(p_t, 1e300, sigma2))
+    # achievable_rate_fbl returned rate_nats=nan with feasible=True; a sign
+    # error keeps its message
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        achievable_rate_fbl(BlocklengthPlan(10**6, 2026, 0.05), LinkParams(p_t, p_e, sigma2))
