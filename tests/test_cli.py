@@ -513,28 +513,6 @@ def test_out_of_range_input_is_one_error_line(capsys, argv, message):
     assert len(err.splitlines()) == 1 and err.startswith(f"error: {message}")
 
 
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        ("rate -n 2026 --pt 1e300 --pe 1e300 --sigma2 1e-300 --eps 0.05", "SNR p_t/sigma2"),
-        ("rate --mode multi -n 2026 --pt 1e-3 --sigma2 1e-320 --lambda 1e-3 --ppb 1e3 --eps 0.05",
-         "SNR p_t/sigma2"),
-        ("rate -m 100 -n 2026 -a 1e300 --pe 1e10 --eps 0.05", "p_t must be finite"),
-        ("rate -m 100 -n 2026 -a inf --eps 0.05", "p_t must be finite"),
-        ("rate --mode multi -m 100 -n 50 --eps 0.05 --pt inf --lambda 1e-3 --ppb 1e3",
-         "p_t must be finite"),
-    ],
-    ids=["single-snr-overflow", "multi-snr-overflow", "single-pt-overflow", "single-a-inf",
-         "multi-pt-inf"],
-)
-def test_infinite_snr_is_one_error_line(capsys, argv, message):
-    # these printed a NaN rate, feasible, or a NaN asymptotic rate
-    code, out, err = run_cli(capsys, *argv.split())
-    assert code == 3
-    assert out == ""
-    assert len(err.splitlines()) == 1 and err.startswith(f"error: {message}")
-
-
 def test_optpower_harvest_floor_overflow_is_one_error_line(capsys):
     code, out, err = run_cli(capsys, "optpower", "--pe", "1e300", "--eps", "1e-300")
     assert code == 3
@@ -655,6 +633,15 @@ def test_inconsistent_powers_rejected(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
+        ("rate -n 2026 --pt 1e300 --pe 1e300 --sigma2 1e-300 --eps 0.05",
+         "SNR p_t/sigma2 must be finite and >= 0, got inf"),
+        ("rate --mode multi -n 2026 --pt 1e-3 --sigma2 1e-320 --lambda 1e-3 --ppb 1e3 --eps 0.05",
+         "SNR p_t/sigma2 must be finite and >= 0, got inf"),
+        ("rate -m 100 -n 2026 -a 1e300 --pe 1e10 --eps 0.05",
+         "p_t must be finite and >= 0, got inf"),
+        ("rate -m 100 -n 2026 -a inf --eps 0.05", "p_t must be finite and >= 0, got inf"),
+        ("rate --mode multi -m 100 -n 50 --eps 0.05 --pt inf --lambda 1e-3 --ppb 1e3",
+         "p_t must be finite and >= 0, got inf"),
         ("pes -m 2 -n 2 -a 5 --pe inf", "p_e must be finite and > 0, got inf"),
         ("pes -m 2 -n 2 --pt inf --pe 1", "p_t must be finite and >= 0, got inf"),
         ("plan --eps 0.05 -a 0.0012 --pt nan", "p_t must be finite and >= 0, got nan"),
@@ -671,14 +658,17 @@ def test_inconsistent_powers_rejected(capsys):
         ("rate -m 100 -n 2026 -a nan --pt 1 --pe 1 --eps 0.05",
          "inconsistent flags: a=nan but pt/pe=1.0"),
     ],
-    ids=["single-pe-inf", "single-pt-inf", "single-pt-nan", "single-sigma2-inf",
+    ids=["single-snr-overflow", "multi-snr-overflow", "single-pt-overflow", "single-a-inf",
+         "multi-pt-inf", "single-pe-inf", "single-pt-inf", "single-pt-nan", "single-sigma2-inf",
          "single-derived-pt-inf", "multi-ppb-inf", "multi-sigma2-inf", "pes-a-inf-contradicts",
          "rate-a-inf-contradicts", "rate-a-nan-contradicts"],
 )
 def test_non_finite_power_is_one_error_line(capsys, argv, message):
-    # each printed a row, or an error naming a value no flag gave; with pt/pe
-    # given, a = inf passed the consistency test as inf > inf (and a = nan as
-    # nan > x), and rate then ran at pt/pe = 1 while pes ran at a = inf
+    # each printed a row (a NaN rate marked feasible, a NaN asymptotic rate,
+    # or a row at an infinite power), or an error naming a value no flag
+    # gave; with pt/pe given, a = inf passed the consistency test as
+    # inf > inf (and a = nan as nan > x), and rate then ran at pt/pe while
+    # pes ran at a
     code, out, err = run_cli(capsys, *argv.split())
     assert (code, out, err) == (3, "", f"error: {message}\n")
 
