@@ -51,19 +51,33 @@ def _fmt(value) -> str:
     return f"{value:.12g}"
 
 
+def _column_format(column) -> str:
+    """The %-format of a column of cells, chosen once for the column:
+    '%.12g' % x is format(x, '.12g') for a float and '%d' % k is str(k) for
+    an int, as :func:`_fmt` writes them; a column of any other or mixed
+    types gets '%s' and its cells go through :func:`_fmt` one by one."""
+    kinds = set(map(type, column))
+    if kinds == {float}:
+        return "%.12g"
+    return "%d" if kinds == {int} else "%s"
+
+
 def _emit(header, rows, out_path) -> None:
     # Plain joins are valid CSV here: no cell needs quoting, since cells are
     # numbers, true/false or empty, and every table has at least two columns,
     # so no row is a lone empty field (which csv.writer would write as "").
-    def write(stream):
-        stream.write(",".join(header) + "\n")
-        stream.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
-
+    columns = [[row[j] for row in rows] for j in range(len(header))]
+    formats = [_column_format(column) for column in columns]
+    for j, spec in enumerate(formats):
+        if spec == "%s":
+            columns[j] = list(map(_fmt, columns[j]))
+    line = ",".join(formats) + "\n"
+    text = ",".join(header) + "\n" + "".join(map(line.__mod__, zip(*columns)))
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            write(fh)
+            fh.write(text)
     else:
-        write(sys.stdout)
+        sys.stdout.write(text)
 
 
 # ------------------------------------------------------------ sweep parsing
@@ -82,7 +96,12 @@ _SWEEPABLE = ("a", "pt", "pe", "eps", "m", "n", "lambda", "ppb", "mu", "eta")
 
 def _log_grid(start: float, stop: float, points: int) -> tuple[float, ...]:
     la, lb = math.log(start), math.log(stop)
-    grid = [math.exp(la + i * (lb - la) / (points - 1)) for i in range(points)]
+    # The exponents la + i*(lb-la)/(points-1) in one NumPy expression: the
+    # same IEEE operations in the same order as a loop, so the same bits. An
+    # infinite stop makes the first one 0 * inf = NaN, as the loop did.
+    with np.errstate(invalid="ignore"):
+        exponents = la + np.arange(points) * (lb - la) / (points - 1)
+    grid = list(map(math.exp, exponents.tolist()))
     grid[0], grid[-1] = start, stop
     return tuple(grid)
 
@@ -121,14 +140,15 @@ def _parse_sweep(text: str) -> SweepSpec:
     return SweepSpec(var, tuple(grid))
 
 
-def _swept(variable: str, value: float):
-    """The value a sweep row evaluates: counts are rounded, and an odd n
-    moves up one slot, as BlocklengthPlan does (the series needs an even n).
-    A count below its minimum is left for the command's checks to reject."""
+def _swept(variable: str, grid) -> list:
+    """The values the rows of a sweep evaluate: counts are rounded, and an
+    odd n moves up one slot, as BlocklengthPlan does (the series needs an
+    even n). A count below its minimum is left for the command's checks to
+    reject."""
     if variable not in ("m", "n"):
-        return value
-    value = int(round(value))
-    return value + value % 2 if variable == "n" else value
+        return list(grid)
+    counts = [int(round(value)) for value in grid]
+    return [n + n % 2 for n in counts] if variable == "n" else counts
 
 
 # ------------------------------------------------------- config & defaults
@@ -214,17 +234,30 @@ def _finalize(args) -> None:
 
 
 # ------------------------------------------------------ parameter plumbing
+#
+# A command runs in two steps: a per-sweep prepare step resolves the flags
+# that the sweep leaves alone, checks them and picks the mode, and returns
+# the per-row evaluator. A row evaluates its checks in one fixed order, so
+# prepare does only the leading part of that order that no row can change:
+# any error it raises is the one the first row would raise. The rest runs
+# per row, through the same public functions as a single row.
+
+_FIELD_DESTS = ("pt", "density", "ppb", "mu", "eta")
 
 
-def _resolve_single(args) -> tuple[float, float, float]:
-    """Pin down (a, p_t, p_e) from whichever flags were given. A given p_t or
-    p_e must be finite; an a that is not finite contradicts any finite pt/pe."""
-    a, p_t, p_e = args.a, args.pt, args.pe
+def _check_given_powers(p_t, p_e) -> None:
+    """A given p_t or p_e (None where not given) must be finite."""
     if p_e is not None:
         single_pb._check_positive("p_e", p_e)  # first, for its own message at 0
         single_pb._check_positive("p_e", p_e, finite=True)
     if p_t is not None:
         single_pb._check_nonnegative("p_t", p_t, finite=True)
+
+
+def _power_point(a, p_t, p_e) -> tuple[float, float, float]:
+    """(a, p_t, p_e) from whichever were given (None where not), after
+    :func:`_check_given_powers`. An a that is not finite contradicts any
+    finite pt/pe."""
     if a is None:
         if p_t is None or p_e is None:
             raise DomainError("single mode needs -a, or --pt together with --pe")
@@ -243,6 +276,25 @@ def _resolve_single(args) -> tuple[float, float, float]:
     return a, p_t, p_e
 
 
+def _resolve_single(args) -> tuple[float, float, float]:
+    """Pin down (a, p_t, p_e) from whichever flags were given."""
+    _check_given_powers(args.pt, args.pe)
+    return _power_point(args.a, args.pt, args.pe)
+
+
+def _single_power(args, dest):
+    """Row flags -> (a, p_t, p_e). Resolved once here where the sweep leaves
+    -a, --pt and --pe alone; with -a swept, the given --pt/--pe are checked
+    once here. Call it only where resolving is the next check of a row."""
+    if dest in ("pt", "pe"):
+        return _resolve_single
+    _check_given_powers(args.pt, args.pe)
+    if dest == "a":
+        return lambda ns: _power_point(ns.a, args.pt, args.pe)
+    point = _power_point(args.a, args.pt, args.pe)
+    return lambda ns: point
+
+
 def _resolve_multi(args) -> tuple[float, multi_pb.NetworkParams]:
     """(p_t, beacon field) of multi mode."""
     if args.pt is None:
@@ -253,6 +305,25 @@ def _resolve_multi(args) -> tuple[float, multi_pb.NetworkParams]:
     return args.pt, net
 
 
+def _field(args, dest):
+    """Row flags -> (p_t, field), resolved once here where the sweep leaves
+    --pt and the field alone. Call it only where resolving is the next check
+    of a row."""
+    if dest in _FIELD_DESTS:
+        return _resolve_multi
+    field = _resolve_multi(args)
+    return lambda ns: field
+
+
+def _frame(args, dest):
+    """Row flags -> transmit blocklength: -n, else the shortest for --eps;
+    taken once here where the sweep leaves -n and --eps alone."""
+    if dest in ("n", "eps"):
+        return lambda ns: ns.n if ns.n is not None else single_pb.min_transmit_blocklength(ns.eps)
+    n = args.n if args.n is not None else single_pb.min_transmit_blocklength(args.eps)
+    return lambda ns: n
+
+
 def _mc_cfg(args) -> montecarlo.McConfig:
     return montecarlo.McConfig(trials=args.mc_trials, seed=args.seed)
 
@@ -260,21 +331,24 @@ def _mc_cfg(args) -> montecarlo.McConfig:
 # ------------------------------------------------------------- subcommands
 
 
-def _run(args, point, lead: list[str], values: list[str]) -> int:
-    """Emit ``point``'s (lead cells, value cells) for the flags, or one row per
-    sweep value, in which the grid value replaces the lead cells. A sweep sets
-    the swept field of one copy of the flags per row; any row's error aborts."""
+def _run(args, prepare, lead: list[str], values: list[str]) -> int:
+    """Emit one row of (lead cells, value cells) for the flags, or one row per
+    sweep value, in which the grid value replaces the lead cells.
+    ``prepare(args, dest)`` returns the row evaluator for the swept field
+    ``dest`` (None without a sweep); a sweep sets that field of one copy of
+    the flags per row, in grid order, and any row's error aborts."""
     sweep = args.sweep
     if sweep is None:
-        lead_cells, cells = point(args)
-        _emit(lead + values, [lead_cells + cells], args.out)
+        lead_cells, cells = prepare(args, None)(args)
+        _emit(lead + values, [(*lead_cells, *cells)], args.out)
         return 0
-    ns = argparse.Namespace(**vars(args))
     dest = _CONFIG_KEYS[sweep.variable][0]
+    point = prepare(args, dest)
+    ns = argparse.Namespace(**vars(args))
     rows = []
-    for value in sweep.grid:
-        setattr(ns, dest, _swept(dest, value))
-        rows.append([value] + point(ns)[1])
+    for value, row_value in zip(sweep.grid, _swept(dest, sweep.grid)):
+        setattr(ns, dest, row_value)
+        rows.append((value, *point(ns)[1]))
     _emit([sweep.variable] + values, rows, args.out)
     return 0
 
@@ -283,79 +357,112 @@ def _power_column(args) -> str:
     return "a" if args.mode == "single" else "pt"
 
 
-def _pes_point(ns) -> tuple[list, list]:
-    if ns.m is None or ns.n is None:
+def _pes_prepare(args, dest):
+    if (args.m is None and dest != "m") or (args.n is None and dest != "n"):
         raise DomainError("pes needs -m and -n")
-    if ns.mode == "single":
-        a, p_t, p_e = _resolve_single(ns)
-        lead = [ns.m, ns.n, a]
-        cells = [single_pb.energy_supply_prob(ns.m, ns.n, a)]
-        if ns.mc_trials is not None:
-            est = montecarlo.estimate_supply_prob_single(ns.m, ns.n, p_t, p_e, _mc_cfg(ns))
-    else:
-        p_t, net = _resolve_multi(ns)
-        lead = [ns.m, ns.n, p_t]
-        cells = [multi_pb.energy_supply_prob_mp(ns.m, ns.n, p_t, net)]
-        if ns.mc_trials is not None:
+    mc = args.mc_trials is not None
+    if args.mode == "single":
+        power = _single_power(args, dest)
+
+        def point(ns) -> tuple[tuple, tuple]:
+            a, p_t, p_e = power(ns)
+            cells = (single_pb.energy_supply_prob(ns.m, ns.n, a),)
+            if mc:
+                est = montecarlo.estimate_supply_prob_single(ns.m, ns.n, p_t, p_e, _mc_cfg(ns))
+                cells += (est.mean, est.std_err)
+            return (ns.m, ns.n, a), cells
+
+        return point
+    field = _field(args, dest)
+    # An n sweep has one u, so one outage-series pass serves its whole grid;
+    # the rows take its values in grid order.
+    supplies = None
+    if dest == "n":
+        grid = _swept("n", args.sweep.grid)
+        supplies = multi_pb._supply_probs_mp(args.m, grid, *field(args))
+
+    def point_mp(ns) -> tuple[tuple, tuple]:
+        p_t, net = field(ns)
+        if supplies is None:
+            cells = (multi_pb.energy_supply_prob_mp(ns.m, ns.n, p_t, net),)
+        else:
+            cells = (next(supplies),)
+        if mc:
             est = montecarlo.estimate_supply_prob_mp(ns.m, ns.n, p_t, net, _mc_cfg(ns))
-    if ns.mc_trials is not None:
-        cells += [est.mean, est.std_err]
-    return lead, cells
+            cells += (est.mean, est.std_err)
+        return (ns.m, ns.n, p_t), cells
+
+    return point_mp
 
 
 def cmd_pes(args) -> int:
     mc = ["pes_mc", "pes_mc_stderr"] if args.mc_trials is not None else []
-    return _run(args, _pes_point, ["m", "n", _power_column(args)], ["pes"] + mc)
+    return _run(args, _pes_prepare, ["m", "n", _power_column(args)], ["pes"] + mc)
 
 
-def _rate_point(ns) -> tuple[list, list]:
-    if ns.eps is None:
+def _rate_prepare(args, dest):
+    if args.eps is None and dest != "eps":
         raise DomainError("rate needs --eps")
-    n = ns.n if ns.n is not None else single_pb.min_transmit_blocklength(ns.eps)
-    # A given -n is held to the even-n rule whether or not -m is given too;
-    # BlocklengthPlan alone would round it up silently.
-    if ns.mode == "single":
-        a, p_t, p_e = _resolve_single(ns)
-        single_pb._check_even_n(n)
-        m = ns.m if ns.m is not None else planner.min_harvest_blocklength(n, a, ns.eps)
-        plan = single_pb.BlocklengthPlan(m, n, ns.eps)
-        link = single_pb.LinkParams(p_t=p_t, p_e=p_e, sigma2=ns.sigma2)
-        res = single_pb.achievable_rate_fbl(plan, link)
-        asym = single_pb.asymptotic_rate(link, ns.eps) / _LN2
-        lead = [m, n, a]
-    else:
-        p_t, net = _resolve_multi(ns)
+    frame = _frame(args, dest)
+    # A swept eps can fail the frame check of a row before its powers are
+    # resolved, so then they are resolved per row.
+    if args.mode == "single":
+        power = _resolve_single if dest == "eps" else _single_power(args, dest)
+
+        def point(ns) -> tuple[list, list]:
+            n = frame(ns)
+            a, p_t, p_e = power(ns)
+            # A given -n is held to the even-n rule whether or not -m is given
+            # too; BlocklengthPlan alone would round it up silently.
+            single_pb._check_even_n(n)
+            m = ns.m if ns.m is not None else planner.min_harvest_blocklength(n, a, ns.eps)
+            plan = single_pb.BlocklengthPlan(m, n, ns.eps)
+            link = single_pb.LinkParams(p_t=p_t, p_e=p_e, sigma2=ns.sigma2)
+            res = single_pb.achievable_rate_fbl(plan, link)
+            asym = single_pb.asymptotic_rate(link, ns.eps) / _LN2
+            return [m, n, a], [res.rate_bits if res.feasible else None, asym, res.feasible]
+
+        return point
+    field = _resolve_multi if dest == "eps" else _field(args, dest)
+
+    def point_mp(ns) -> tuple[list, list]:
+        n = frame(ns)
+        p_t, net = field(ns)
         single_pb._check_even_n(n)
         m = ns.m if ns.m is not None else planner.min_harvest_blocklength_mp(n, p_t, net, ns.eps)
         plan = single_pb.BlocklengthPlan(m, n, ns.eps)
         res = multi_pb.achievable_rate_mp(plan, p_t, ns.sigma2, net)
-        asym = None
-        lead = [m, n, p_t]
-    return lead, [res.rate_bits if res.feasible else None, asym, res.feasible]
+        return [m, n, p_t], [res.rate_bits if res.feasible else None, None, res.feasible]
+
+    return point_mp
 
 
 def cmd_rate(args) -> int:
     values = ["rate_bits", "rate_bits_asymptotic", "feasible"]
-    return _run(args, _rate_point, ["m", "n", _power_column(args)], values)
+    return _run(args, _rate_prepare, ["m", "n", _power_column(args)], values)
 
 
-def _optpower_point(ns) -> tuple[list, list]:
-    if ns.mode != "single":
+def _optpower_prepare(args, dest):
+    if args.mode != "single":
         raise DomainError("optpower applies to single mode only")
-    if ns.pe is None or ns.eps is None:
+    if (args.pe is None and dest != "pe") or (args.eps is None and dest != "eps"):
         raise DomainError("optpower needs --pe and --eps")
-    pt_asym = single_pb.optimal_power_asymptotic(ns.pe, ns.sigma2, ns.eps)
-    pt_fbl, rate_fbl_nats = single_pb.optimal_power_fbl(ns.eps, ns.pe, ns.sigma2)
-    n = single_pb.min_transmit_blocklength(ns.eps)
-    link = single_pb.LinkParams(p_t=pt_asym, p_e=ns.pe, sigma2=ns.sigma2)
-    return [], [
-        pt_asym,
-        pt_fbl,
-        pt_asym / ns.pe,
-        pt_fbl / ns.pe,
-        _planned_rate_bits(n, pt_asym / ns.pe, link, ns.eps),
-        rate_fbl_nats / _LN2,
-    ]
+
+    def point(ns) -> tuple[list, list]:
+        pt_asym = single_pb.optimal_power_asymptotic(ns.pe, ns.sigma2, ns.eps)
+        pt_fbl, rate_fbl_nats = single_pb.optimal_power_fbl(ns.eps, ns.pe, ns.sigma2)
+        n = single_pb.min_transmit_blocklength(ns.eps)
+        link = single_pb.LinkParams(p_t=pt_asym, p_e=ns.pe, sigma2=ns.sigma2)
+        return [], [
+            pt_asym,
+            pt_fbl,
+            pt_asym / ns.pe,
+            pt_fbl / ns.pe,
+            _planned_rate_bits(n, pt_asym / ns.pe, link, ns.eps),
+            rate_fbl_nats / _LN2,
+        ]
+
+    return point
 
 
 def cmd_optpower(args) -> int:
@@ -367,26 +474,40 @@ def cmd_optpower(args) -> int:
         "rate_bits_at_pt_asym",
         "rate_bits_at_pt_fbl",
     ]
-    return _run(args, _optpower_point, [], values)
+    return _run(args, _optpower_prepare, [], values)
 
 
-def _plan_point(ns) -> tuple[list, list]:
-    if ns.eps is None:
+def _plan_prepare(args, dest):
+    if args.eps is None and dest != "eps":
         raise DomainError("plan needs --eps")
-    n_min = single_pb.min_transmit_blocklength(ns.eps)
-    if ns.mode == "single":
-        a, _, _ = _resolve_single(ns)
-        m_min = planner.min_harvest_blocklength(n_min, a, ns.eps)
-        overhead = planner.harvest_overhead(a, ns.eps)
+    if dest == "eps":
+        n_min = lambda ns: single_pb.min_transmit_blocklength(ns.eps)
     else:
-        p_t, net = _resolve_multi(ns)
-        m_min = planner.min_harvest_blocklength_mp(n_min, p_t, net, ns.eps)
-        overhead = None
-    return [], [n_min, m_min, overhead, n_min + m_min]
+        n_fixed = single_pb.min_transmit_blocklength(args.eps)
+        n_min = lambda ns: n_fixed
+    if args.mode == "single":
+        power = _resolve_single if dest == "eps" else _single_power(args, dest)
+
+        def point(ns) -> tuple[list, list]:
+            n = n_min(ns)
+            a, _, _ = power(ns)
+            m = planner.min_harvest_blocklength(n, a, ns.eps)
+            return [], [n, m, planner.harvest_overhead(a, ns.eps), n + m]
+
+        return point
+    field = _resolve_multi if dest == "eps" else _field(args, dest)
+
+    def point_mp(ns) -> tuple[list, list]:
+        n = n_min(ns)
+        p_t, net = field(ns)
+        m = planner.min_harvest_blocklength_mp(n, p_t, net, ns.eps)
+        return [], [n, m, None, n + m]
+
+    return point_mp
 
 
 def cmd_plan(args) -> int:
-    return _run(args, _plan_point, [], ["n_min", "m_min", "overhead", "total"])
+    return _run(args, _plan_prepare, [], ["n_min", "m_min", "overhead", "total"])
 
 
 def _planned_rate_bits(n: int, a: float, link: single_pb.LinkParams, eps: float):
@@ -743,6 +864,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     multi_pb._threshold.cache_clear()
+    multi_pb._solved_ratio.clear()
     args = _build_parser().parse_args(argv)
     try:
         _finalize(args)

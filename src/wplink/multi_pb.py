@@ -304,73 +304,149 @@ def _check_supply_args(m: int, n: int, p_t: float) -> None:
     _check_nonnegative("p_t", p_t, finite=True)
 
 
-def _outage_series(count: int, u: float, net: NetworkParams) -> tuple[float, float, float]:
-    """(log offset, sum_{i<count} T_i, T_count) of the outage series at u > 0.
-
-    The outage is exp(offset) * sum_{i<count} T_i, and
-    d(outage)/du = -(count/u) exp(offset) T_count. The recurrence
-    i T_i = sum_{r=1..i} c_r T_{i-r}, T_0 = 1, is an online convolution:
-    divide and conquer over power-of-two blocks adds the left half's
-    contribution to the right half's pending sums ``acc`` with one FFT
-    product, and leaves of ``_LEAF`` terms run the direct loop, so the cost
-    is O(count log^2 count). Whenever a term below T_count passes the
-    rescale bound min(1e250, 1e300 / sum c_r), every term so far and every
-    pending sum is divided by it and the log offset absorbs it. A term is at
-    most the largest earlier one times sum c_r, so no term passes 1e300 and
-    no FFT product passes count * 1e300. The sum then holds a term equal to
-    1, so exp(offset) stays below the outage and cannot overflow.
-
-    Raises:
-        StabilityError: If sum c_r passes 1e300 (an extremely dense field),
-            beyond what the rescaled recurrence can carry.
-    """
-    size = 1 << count.bit_length()  # > count, so T_0..T_count all fit
-    c = np.zeros(size)
-    c[1 : count + 1] = _series_coefficients(count, u, net)
+def _coefficient_sum(c: np.ndarray, count: int) -> float:
+    """sum c_1..c_count of the coefficients ``c`` (c_1 first), summed over
+    the zero-padded power-of-two layout a pass of ``count`` terms uses, so
+    that it is the same bits whichever longer array the coefficients come
+    from."""
+    padded = np.zeros(1 << count.bit_length())
+    padded[1 : count + 1] = c[:count]
     with np.errstate(over="ignore"):
-        c_sum = float(c.sum())
-    if not c_sum <= 1e300:  # also NaN
-        raise StabilityError(
-            f"outage series coefficients sum to {c_sum:.3g} at u={u!r}, beyond the"
-            " double range the rescaled series can carry"
-        )
-    # min(1e250, 1e300 / c_sum), at least 1 (1e300 / 1e50 is 1e250 exactly)
-    rescale = 1e300 / max(c_sum, 1e50)
+        return float(padded.sum())
+
+
+def _rescale_bound(c_sum: float) -> float:
+    """min(1e250, 1e300 / sum c_r), at least 1 (1e300 / 1e50 is 1e250 exactly)."""
+    return 1e300 / max(c_sum, 1e50)
+
+
+def _outage_kernel(c: np.ndarray, g: float, counts) -> dict[int, tuple[float, float, float]]:
+    """{N: (log offset, sum_{i<N} T_i, T_N)} for each N of ``counts``.
+
+    Panjer's recursion i T_i = sum_{r=1..i} c_r T_{i-r}, T_0 = 1, with log
+    offset g: the law whose generating function is exp(g + sum_r c_r z^r/r)
+    puts mass exp(offset) * sum_{i<N} T_i below N. ``c`` holds c_1, c_2, ...
+    up to at least the largest count, each >= 0, and every count's sum
+    c_1..c_N must be at most 1e300.
+
+    The recurrence is an online convolution: divide and conquer over
+    power-of-two blocks adds the left half's contribution to the right
+    half's pending sums ``acc`` with one FFT product, and leaves of
+    ``_LEAF`` terms run the direct loop, so the cost is O(N log^2 N).
+    Whenever a term below T_N passes the rescale bound
+    min(1e250, 1e300 / sum c_r), every term so far and every pending sum is
+    divided by it and the log offset absorbs it. A term is at most the
+    largest earlier one times sum c_r, so no term passes 1e300 and no FFT
+    product passes N * 1e300. The sum then holds a term equal to 1, so
+    exp(offset) stays below the mass and cannot overflow.
+
+    Every N gets the bits a pass of N terms alone would give. Counts that
+    share a rescale bound share one pass to the largest of them: a pass of N
+    terms differs from a longer one only in its top block, whose FFT sees
+    c_r up to N only, so the terms of each shorter N are read off the
+    longer pass below that block and its right half is rerun from there
+    (at leaf size, term N is read off as it is reached, before a rescale
+    there).
+    """
+    out = {}
+    groups: dict[float, list[int]] = {}
+    for count in sorted(set(counts)):
+        groups.setdefault(_rescale_bound(_coefficient_sum(c, count)), []).append(count)
+    for rescale, group in groups.items():
+        out.update(_panjer_pass(c, g, group, rescale))
+    return out
+
+
+def _panjer_pass(c: np.ndarray, g: float, counts: list[int], rescale: float) -> dict:
+    """The pass of :func:`_outage_kernel` for counts that share ``rescale``."""
+    count = max(counts)
+    size = 1 << count.bit_length()  # > count, so T_0..T_count all fit
+    c_pad = np.zeros(size)
+    c_pad[1 : count + 1] = c[:count]
     # c reversed, so that the leaf's dot products run on unit strides
     # (c[i-lo], ..., c[1] is c_rev[top-(i-lo) : top]), which halves their cost
-    c_rev = c[::-1].copy()
+    c_rev = c_pad[::-1].copy()
     top = size - 1
-    t = np.zeros(size)
-    t[0] = 1.0
-    acc = np.zeros(size)
-    offset = _log_laplace(u, net)
     c_hat = {}  # FFT of c[:width] per block width; c is shared by every block
+    out = {}
+    # Counts of one leaf are read off as they are reached; the others rerun
+    # the right half of their top block, [size/2, size), from its middle.
+    at_leaf = {k for k in counts if k < count and 1 << k.bit_length() <= _LEAF}
+    reruns: dict[int, list[int]] = {}
+    for k in counts:
+        if k < count and k not in at_leaf:
+            reruns.setdefault(1 << (k.bit_length() - 1), []).append(k)
 
-    def solve(lo: int, hi: int) -> None:
-        nonlocal offset
+    def solve(t, acc, offset: float, lo: int, hi: int, last: int) -> float:
         if hi - lo <= _LEAF:
-            for i in range(max(lo, 1), min(hi, count + 1)):
+            for i in range(max(lo, 1), min(hi, last + 1)):
                 ti = (acc[i] + t[lo:i].dot(c_rev[top - (i - lo) : top])) / i
                 t[i] = ti
-                if ti > rescale and i < count:
+                if lo == 0 and i in at_leaf:
+                    out[i] = (offset, float(np.sum(t[:i])), float(ti))
+                if ti > rescale and i < last:
                     t[: i + 1] /= ti
                     acc[i + 1 :] /= ti
                     offset += math.log(ti)
-            return
+            return offset
         mid = (lo + hi) // 2
-        solve(lo, mid)
-        if mid > count:
-            return
+        offset = solve(t, acc, offset, lo, mid, last)
+        if lo == 0:
+            for k in reruns.get(mid, ()):
+                out[k] = rerun(k, t, acc, offset)
+        if mid > last:
+            return offset
         width = hi - lo
         if width not in c_hat:
-            c_hat[width] = np.fft.rfft(c[:width])
+            c_hat[width] = np.fft.rfft(c_pad[:width])
         # Cyclic length ``width`` leaves indices [mid-lo, width) alias-free.
         conv = np.fft.irfft(np.fft.rfft(t[lo:mid], width) * c_hat[width], width)
         acc[mid:hi] += conv[mid - lo :]
-        solve(mid, hi)
+        return solve(t, acc, offset, mid, hi, last)
 
-    solve(0, size)
-    return offset, float(np.sum(t[:count])), float(t[count])
+    def rerun(k: int, t, acc, offset: float) -> tuple[float, float, float]:
+        """Term k's record from the state after [0, mid) of its top block."""
+        width = 1 << k.bit_length()
+        mid = width // 2
+        t, acc = t[:width].copy(), acc[:width].copy()
+        c_k = np.zeros(width)
+        c_k[1 : k + 1] = c[:k]
+        conv = np.fft.irfft(np.fft.rfft(t[:mid], width) * np.fft.rfft(c_k), width)
+        acc[mid:] += conv[mid:]
+        offset = solve(t, acc, offset, mid, width, k)
+        return offset, float(np.sum(t[:k])), float(t[k])
+
+    t = np.zeros(size)
+    t[0] = 1.0
+    acc = np.zeros(size)
+    offset = solve(t, acc, g, 0, size, count)
+    out[count] = (offset, float(np.sum(t[:count])), float(t[count]))
+    return out
+
+
+def _outage_series(counts, u: float, net: NetworkParams) -> list:
+    """(log offset, sum_{i<N} T_i, T_N) of the field's outage series at u > 0
+    for each N of ``counts``, from one pass of :func:`_outage_kernel`.
+
+    The outage is exp(offset) * sum_{i<N} T_i, and
+    d(outage)/du = -(N/u) exp(offset) T_N. Where sum c_1..c_N passes 1e300
+    (an extremely dense field), beyond what the rescaled recurrence can
+    carry, the entry is the StabilityError to raise instead.
+    """
+    c = _series_coefficients(max(counts), u, net)
+    out, fine = {}, []
+    for count in set(counts):
+        c_sum = _coefficient_sum(c, count)
+        if c_sum <= 1e300:  # not NaN either
+            fine.append(count)
+        else:
+            out[count] = StabilityError(
+                f"outage series coefficients sum to {c_sum:.3g} at u={u!r}, beyond the"
+                " double range the rescaled series can carry"
+            )
+    if fine:
+        out.update(_outage_kernel(c, _log_laplace(u, net), fine))
+    return [out[count] for count in counts]
 
 
 def _supply_and_slope(count: int, u: float, net: NetworkParams) -> tuple[float, float, float]:
@@ -390,7 +466,14 @@ def _supply_and_slope(count: int, u: float, net: NetworkParams) -> tuple[float, 
         # The threshold argument dwarfs any representable series scale;
         # outage is far below double-precision resolution.
         return 1.0, -math.inf, -math.inf
-    offset, total, t_last = _outage_series(count, u, net)
+    return _supply_of(count, _outage_series((count,), u, net)[0])
+
+
+def _supply_of(count: int, series) -> tuple[float, float, float]:
+    """:func:`_supply_and_slope` from one entry of :func:`_outage_series`."""
+    if isinstance(series, StabilityError):
+        raise series
+    offset, total, t_last = series
     # The product keeps the outage's relative error at a few ulps; the sum
     # offset + ln(total) would add an absolute error of up to |offset|*2^-53.
     # Where exp(offset) underflows, the outage is below exp(-150).
@@ -398,6 +481,27 @@ def _supply_and_slope(count: int, u: float, net: NetworkParams) -> tuple[float, 
     if not outage <= 1.0 + _SIGN_SLACK:  # also NaN
         raise StabilityError(f"outage series left [0, 1]: {outage!r}")
     return max(0.0, 1.0 - outage), offset + math.log(total), -count * t_last / total
+
+
+def _supply_probs_mp(m: int, ns, p_t: float, net: NetworkParams):
+    """``energy_supply_prob_mp(m, n, p_t, net)`` for each n of ``ns`` in turn,
+    as a generator that raises where that call would. One outage-series pass
+    serves every n up to the first that fails its argument checks."""
+    counts = []
+    for n in ns:
+        try:
+            _check_supply_args(m, n, p_t)
+        except DomainError:
+            break
+        counts.append(int(n) // 2)
+    u = _harvest_arg(m, p_t, net) if counts and p_t != 0.0 else 0.0
+    series = iter(_outage_series(counts, u, net)) if 0.0 < u <= 1e200 else None
+    for n in ns:
+        if series is None:  # no series to share: every n is a closed form or an error
+            yield energy_supply_prob_mp(m, n, p_t, net)
+        else:
+            _check_supply_args(m, n, p_t)
+            yield _supply_of(int(n) // 2, next(series))[0]
 
 
 class _Threshold:
@@ -439,8 +543,10 @@ class _Threshold:
     def solve(self) -> None:
         """Shrink the bracket, whose hi must be finite, to ln(hi/lo) <= ``_SOLVE_RTOL``.
 
-        Newton on ln(outage) = ln(1 - target) in v = ln u, started where the
-        mean harvested energy covers the codeword. The slope
+        Newton on ln(outage) = ln(1 - target) in v = ln u. It starts at N
+        times the u*/N of the last solve of the same field and target
+        (``_solved_ratio``), since u*/N barely moves with N, and otherwise
+        where the mean harvested energy covers the codeword. The slope
         d ln(outage)/d ln u = -(n/2) T_{n/2} / sum_{i<n/2} T_i comes with the
         outage itself. Steps are capped at ``_LOG_STEP_CAP``, a step leaving
         the bracket becomes a bisection of it, and every step overshoots by
@@ -450,12 +556,19 @@ class _Threshold:
         # A target that rounds to 1 leaves no finite Newton goal; capped
         # steps and bisection then find the bracket alone.
         log_budget = math.log1p(-self.target) if self.target < 1.0 else -math.inf
-        mean_u = self.count * self.net.p_pb * self.net.mu / mean_harvested(self.net)
-        v = math.log(mean_u)
+        key = (self.net, self.target)
+        if key in _solved_ratio:
+            v = math.log(self.count) + _solved_ratio[key]
+        else:
+            v = math.log(self.count * self.net.p_pb * self.net.mu / mean_harvested(self.net))
         for _ in range(_SOLVE_ITERS):
             lo_v = math.log(self.lo) if self.lo > 0.0 else -math.inf
             hi_v = math.log(self.hi)
             if hi_v - lo_v <= _SOLVE_RTOL:
+                _solved_ratio.pop(key, None)
+                _solved_ratio[key] = hi_v - math.log(self.count)
+                if len(_solved_ratio) > _THRESHOLD_SLOTS:
+                    del _solved_ratio[next(iter(_solved_ratio))]
                 return
             if not lo_v < v < hi_v:
                 v = hi_v - _LOG_STEP_CAP if lo_v == -math.inf else 0.5 * (lo_v + hi_v)
@@ -473,6 +586,13 @@ class _Threshold:
 @functools.lru_cache(maxsize=_THRESHOLD_SLOTS)
 def _threshold(count: int, net: NetworkParams, epsilon: float) -> _Threshold:
     return _Threshold(count, net, epsilon)
+
+
+# ln(u*/N) of the last finished threshold solve per (net, target), the
+# least recently solved of more than _THRESHOLD_SLOTS evicted. It moves only
+# where a solve starts, so like ``_threshold`` it changes no answer, and
+# ``cli.main`` clears it with ``_threshold``.
+_solved_ratio: dict[tuple[NetworkParams, float], float] = {}
 
 
 def _meets_supply_target(m: int, n: int, p_t: float, net: NetworkParams, epsilon: float) -> bool:

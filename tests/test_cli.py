@@ -69,6 +69,55 @@ def test_pes_multi_mode(capsys):
     )
 
 
+def count_series(monkeypatch):
+    """Outage-series passes from here on."""
+    calls = []
+    series = multi_pb._outage_series
+    monkeypatch.setattr(
+        multi_pb, "_outage_series", lambda *args: calls.append(args) or series(*args)
+    )
+    return calls
+
+
+# (m, pt, field) of a field n sweep, and the n each grid evaluates: odd grid
+# values round up, and a repeated n repeats its row.
+N_SWEEP_POINTS = {
+    "m1500-lambda1e-3": ["-m", "1500", "--pt", "1", "--lambda", "1e-3", "--ppb", "1e3"],
+    "m100-mu0.5": ["-m", "100", "--pt", "10", "--lambda", "5e-3", "--ppb", "1e3", "--mu", "0.5"],
+    "m200-eta2.5": ["-m", "200", "--pt", "1", "--lambda", "1e-2", "--ppb", "100", "--eta", "2.5"],
+}
+N_SWEEP_GRIDS = {
+    "n:1:9:5": [2, 4, 6, 8, 10],
+    "n:1000:1002:5": [1000, 1000, 1002, 1002, 1002],
+    "n:99:301:3": [100, 200, 302],
+    "n:2000:8000:4": [2000, 4000, 6000, 8000],
+}
+
+
+@pytest.mark.parametrize("point", N_SWEEP_POINTS.values(), ids=N_SWEEP_POINTS.keys())
+@pytest.mark.parametrize("grid", N_SWEEP_GRIDS)
+def test_field_n_sweep_rows_print_as_single_rows(monkeypatch, capsys, point, grid):
+    # one outage-series pass serves the whole grid, and each row prints the
+    # bytes of the one-row command at its n
+    head = ["pes", "--mode", "multi", *point]
+    calls = count_series(monkeypatch)
+    code, out, _ = run_cli(capsys, *head, "--sweep", grid)
+    assert code == 0 and len(calls) == 1
+    _, body = rows(out)
+    assert len(body) == len(N_SWEEP_GRIDS[grid])
+    for n, row in zip(N_SWEEP_GRIDS[grid], body):
+        _, single, _ = run_cli(capsys, *head, "-n", str(n))
+        assert row[1] == rows(single)[1][0][3], (grid, n)
+
+
+def test_fig7_threshold_solves_start_warm(monkeypatch, tmp_path):
+    # every threshold solve after fig7's first starts from the u*/(n/2) of
+    # the one before: 36 series evaluations where cold starts took 60
+    calls = count_series(monkeypatch)
+    assert main(["figure", "fig7", "--out", str(tmp_path)]) == 0
+    assert len(calls) <= 36
+
+
 def test_pes_monte_carlo_columns(capsys):
     code, out, _ = run_cli(
         capsys, "pes", "-m", "100", "-n", "50", "-a", "0.1", "--mc-trials", "2000"

@@ -8,7 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import betainc
+from scipy.special import betainc, betaincc
 
 from wplink import multi_pb, planner
 from wplink.multi_pb import (
@@ -502,6 +502,64 @@ def test_supply_mp_dense_field_is_certain(density):
 def test_supply_mp_rejects_coefficients_beyond_double_range():
     with pytest.raises(multi_pb.StabilityError, match="double range"):
         energy_supply_prob_mp(100, 50, 1.0, NetworkParams(density=1e308, p_pb=1e3))
+
+
+# ----------------------------------------------------------------
+# The outage series' kernel on its own, against a closed form
+
+
+def negative_binomial(k, w, count):
+    """Coefficients c_1..c_count and log offset g of the negative binomial
+    law with shape k and success ratio w, whose generating function is
+    ((1-w)/(1-wz))^k = exp(g + sum_r c_r z^r / r): c_r = k w^r, g = k ln(1-w).
+    Its mass below N is betaincc(N, k, w)."""
+    r = np.arange(1, count + 1, dtype=float)
+    return k * np.exp(r * math.log(w)), k * math.log1p(-w)
+
+
+# (k, w, counts): k = 1 is the single beacon; counts below 128 are read off
+# the first leaf, larger ones rerun the right half of their top block; at
+# k = 1e4, w = 0.3 (-g = 3567 > 575) the rescale fires between the counts.
+KERNEL_CASES = [
+    (1.0, 0.98, [10, 500, 2000]),
+    (50.0, 0.5, [1, 64, 127, 129, 300, 300]),
+    (2000.0, 0.7, [3500, 4097, 5000, 6000]),
+    (1e4, 0.3, [2500, 3000, 4000, 5000]),
+]
+
+
+@pytest.mark.parametrize("k, w, counts", KERNEL_CASES)
+def test_outage_kernel_matches_negative_binomial(k, w, counts):
+    c, g = negative_binomial(k, w, max(counts))
+    got = multi_pb._outage_kernel(c, g, counts)
+    bound = 8.0 * (1.0 + abs(g)) * 2.0**-53
+    for count in counts:
+        offset, total, _ = got[count]
+        want = float(betaincc(count, k, w))
+        assert abs(math.exp(offset) * total - want) <= bound * want, (count, want)
+    if k == 1e4:
+        assert got[3000][0] != got[4000][0]  # rescaled between these counts
+
+
+@pytest.mark.parametrize("k, w, counts", KERNEL_CASES + [(1e60, 0.5, [5, 30, 100])])
+def test_outage_kernel_pass_gives_each_count_its_own_bits(k, w, counts):
+    # one pass over several counts returns for each exactly what a pass of
+    # that count alone returns; at k = 1e60 the coefficient sums, and so the
+    # rescale bounds, differ between the counts
+    c, g = negative_binomial(k, w, max(counts))
+    together = multi_pb._outage_kernel(c, g, counts)
+    for count in counts:
+        assert together[count] == multi_pb._outage_kernel(c, g, [count])[count], count
+
+
+def test_outage_series_reports_each_count_beyond_double_range():
+    # the coefficient sum passes 1e300 at the larger count only: the smaller
+    # one still gets its terms, the larger its own StabilityError
+    net = NetworkParams(density=3.5e294, p_pb=1e3)
+    u = multi_pb._harvest_arg(1500, 1.0, net)
+    small, large = multi_pb._outage_series([2000, 7000], u, net)
+    assert small == multi_pb._outage_series([2000], u, net)[0]
+    assert isinstance(large, multi_pb.StabilityError) and "double range" in str(large)
 
 
 # ----------------------------------------------------------------

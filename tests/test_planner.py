@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from wplink import multi_pb, planner, single_pb
 from wplink.single_pb import UnsatisfiableError
@@ -172,6 +173,33 @@ def test_min_harvest_mp_reuses_threshold(monkeypatch):
         plan = single_pb.BlocklengthPlan(m=m - 1, n=n, epsilon=eps)
         assert not multi_pb.achievable_rate_mp(plan, p_t, 1.0, NET_DENSE).feasible
     assert len(calls) == before
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    density=st.floats(min_value=1e-3, max_value=1e-2),
+    eta=st.floats(min_value=2.5, max_value=6.0),
+    eps=st.sampled_from([1e-3, 0.05, 0.5]),
+    p_t=st.floats(min_value=0.1, max_value=10.0),
+    half_n=st.integers(min_value=1, max_value=1000),
+    half_other=st.integers(min_value=1, max_value=1000),
+)
+def test_min_harvest_mp_same_m_warm_cold_and_bisected(density, eta, eps, p_t, half_n, half_other):
+    # a threshold solve started from the u*/(n/2) of a solve at another n of
+    # the same field and eps finds the same m as one started cold, and as the
+    # direct bisection
+    assume(half_n != half_other)
+    net = multi_pb.NetworkParams(density=density, p_pb=1e3, eta=eta)
+    n = 2 * half_n
+    multi_pb._threshold.cache_clear()
+    multi_pb._solved_ratio.clear()
+    cold = planner.min_harvest_blocklength_mp(n, p_t, net, eps)
+    multi_pb._threshold.cache_clear()
+    multi_pb._solved_ratio.clear()
+    planner.min_harvest_blocklength_mp(2 * half_other, p_t, net, eps)
+    assume((net, 2.0 / (2.0 + eps)) in multi_pb._solved_ratio)  # that search solved
+    warm = planner.min_harvest_blocklength_mp(n, p_t, net, eps)
+    assert warm == cold == bisect_min_harvest(n, p_t, net, eps)
 
 
 def test_min_harvest_mp_target_rounding_to_one():
