@@ -97,10 +97,8 @@ _SWEEPABLE = ("a", "pt", "pe", "eps", "m", "n", "lambda", "ppb", "mu", "eta")
 def _log_grid(start: float, stop: float, points: int) -> tuple[float, ...]:
     la, lb = math.log(start), math.log(stop)
     # The exponents la + i*(lb-la)/(points-1) in one NumPy expression: the
-    # same IEEE operations in the same order as a loop, so the same bits. An
-    # infinite stop makes the first one 0 * inf = NaN, as the loop did.
-    with np.errstate(invalid="ignore"):
-        exponents = la + np.arange(points) * (lb - la) / (points - 1)
+    # same IEEE operations in the same order as a loop, so the same bits.
+    exponents = la + np.arange(points) * (lb - la) / (points - 1)
     grid = list(map(math.exp, exponents.tolist()))
     grid[0], grid[-1] = start, stop
     return tuple(grid)
@@ -123,6 +121,8 @@ def _parse_sweep(text: str) -> SweepSpec:
         raise DomainError(f"sweep scale must be 'log' when given, got {parts[4]!r}")
     if points < 1:
         raise DomainError("sweep needs at least one point")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise DomainError(f"sweep {text!r} needs a finite START and STOP")
     if points == 1:
         grid = (start,)
     elif not stop > start:

@@ -175,6 +175,29 @@ def test_count_sweep_below_domain_is_one_error_line(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["plan", "-a", "1", "--eps", "0.05", "--sweep", "mu:2:inf:3"],
+        ["pes", "-m", "100", "-n", "50", "-a", "0.1", "--sweep", "eta:1:inf:3"],
+        ["pes", "-m", "100", "-n", "50", "--sweep", "a:0:inf:3"],
+        ["pes", "-m", "100", "-n", "50", "-a", "0.1", "--sweep", "pe:-inf:1:3"],
+        ["pes", "-m", "100", "-n", "50", "--sweep", "a:nan:1:3"],
+        ["rate", "--eps", "0.05", "--pe", "100", "--sweep", "pt:inf:inf:1"],
+        ["pes", "-m", "100", "-a", "0.1", "--sweep", "n:2:inf:3:log"],
+    ],
+    ids=["mu-ignored", "eta-ignored", "a", "minus-inf", "nan", "one-point", "log"],
+)
+def test_sweep_with_a_non_finite_end_is_one_error_line(capsys, argv):
+    # the first two printed lead cells nan, inf, inf with exit 0, and the
+    # third failed with "power ratio a must be >= 0, got nan", a value no
+    # flag gave
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err == f"error: sweep {argv[-1]!r} needs a finite START and STOP\n"
+
+
 def test_sweep_log_spacing(capsys):
     _, out, _ = run_cli(
         capsys, "pes", "-m", "100", "-n", "50", "--sweep", "a:0.01:1:3:log"
