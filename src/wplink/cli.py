@@ -257,7 +257,9 @@ def _check_given_powers(p_t, p_e) -> None:
 def _power_point(a, p_t, p_e) -> tuple[float, float, float]:
     """(a, p_t, p_e) from whichever were given (None where not), after
     :func:`_check_given_powers`. An a that is not finite contradicts any
-    finite pt/pe."""
+    finite pt/pe. A p_e = pt/a or p_t = a*pe derived from two flags must
+    pass the check a given one does; a p_e that fails names the two flags.
+    A negative or NaN a is left to the check of a itself."""
     if a is None:
         if p_t is None or p_e is None:
             raise DomainError("single mode needs -a, or --pt together with --pe")
@@ -267,9 +269,18 @@ def _power_point(a, p_t, p_e) -> tuple[float, float, float]:
     if p_e is None:
         if a <= 0.0:
             raise DomainError("cannot infer --pe from --pt when a = 0")
-        return a, p_t, p_t / a
+        p_e = p_t / a
+        if a >= 0.0 and not 0.0 < p_e < math.inf:
+            raise DomainError(
+                f"flags collide: pt={p_t!r} and a={a!r} give p_e={p_e!r}, but p_e must be"
+                " finite and > 0"
+            )
+        return a, p_t, p_e
     if p_t is None:
-        return a, a * p_e, p_e
+        p_t = a * p_e
+        if a >= 0.0:
+            single_pb._check_nonnegative("p_t", p_t, finite=True)
+        return a, p_t, p_e
     ratio = p_t / p_e
     if ratio != a and not (math.isfinite(a) and abs(ratio - a) <= 1e-9 * max(abs(a), 1.0)):
         raise DomainError(f"inconsistent flags: a={a!r} but pt/pe={ratio!r}")

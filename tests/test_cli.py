@@ -745,6 +745,28 @@ def test_non_finite_power_is_one_error_line(capsys, argv, message):
     assert (code, out, err) == (3, "", f"error: {message}\n")
 
 
+COLLIDE = "flags collide: pt={} and a={} give p_e={}, but p_e must be finite and > 0"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("rate -m 100 -n 2026 --pt 1e-300 -a 1e300 --eps 0.05", COLLIDE.format("1e-300", "1e+300", "0.0")),
+        ("rate -m 100 -n 2026 --pt 1 -a 1e-320 --eps 0.05", COLLIDE.format("1.0", "1e-320", "inf")),
+        ("pes -m 100 -n 2026 --pt 1e-300 -a 1e300", COLLIDE.format("1e-300", "1e+300", "0.0")),
+        ("plan --eps 0.05 --pt 1e308 -a 0.5", COLLIDE.format("1e+308", "0.5", "inf")),
+        ("pes -m 100 -n 2026 --pe 1e300 -a 1e300", "p_t must be finite and >= 0, got inf"),
+    ],
+    ids=["rate-pe-underflow", "rate-pe-overflow", "pes-pe-underflow", "plan-pe-overflow",
+         "pes-pt-overflow"],
+)
+def test_derived_power_outside_double_range_is_one_error_line(capsys, argv, message):
+    # p_e = pt/a and p_t = a*pe were not checked: rate named a p_e no flag
+    # gave ("p_e must be > 0, got 0.0"), and pes and plan printed a row
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
 # Every power flag of a command over these values, each flag also left out
 POWER_VALUES = [None, "0", "1e-300", "1e300", "inf", "nan", "-1"]
 POWER_GRID = {
