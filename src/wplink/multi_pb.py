@@ -315,11 +315,6 @@ def _coefficient_sum(c: np.ndarray, count: int) -> float:
         return float(padded.sum())
 
 
-def _rescale_bound(c_sum: float) -> float:
-    """min(1e250, 1e300 / sum c_r), at least 1 (1e300 / 1e50 is 1e250 exactly)."""
-    return 1e300 / max(c_sum, 1e50)
-
-
 def _outage_kernel(c: np.ndarray, g: float, counts) -> dict[int, tuple[float, float, float]]:
     """{N: (log offset, sum_{i<N} T_i, T_N)} for each N of ``counts``.
 
@@ -349,9 +344,11 @@ def _outage_kernel(c: np.ndarray, g: float, counts) -> dict[int, tuple[float, fl
     there).
     """
     out = {}
-    groups: dict[float, list[int]] = {}
+    groups: dict[float, list[int]] = {}  # counts by rescale bound
     for count in sorted(set(counts)):
-        groups.setdefault(_rescale_bound(_coefficient_sum(c, count)), []).append(count)
+        # min(1e250, 1e300 / sum c_r), at least 1 (1e300 / 1e50 is 1e250 exactly)
+        rescale = 1e300 / max(_coefficient_sum(c, count), 1e50)
+        groups.setdefault(rescale, []).append(count)
     for rescale, group in groups.items():
         out.update(_panjer_pass(c, g, group, rescale))
     return out
