@@ -66,18 +66,23 @@ def _emit(header, rows, out_path) -> None:
     # Plain joins are valid CSV here: no cell needs quoting, since cells are
     # numbers, true/false or empty, and every table has at least two columns,
     # so no row is a lone empty field (which csv.writer would write as "").
-    columns = [[row[j] for row in rows] for j in range(len(header))]
-    formats = [_column_format(column) for column in columns]
-    for j, spec in enumerate(formats):
-        if spec == "%s":
-            columns[j] = list(map(_fmt, columns[j]))
+    formats = [_column_format([row[j] for row in rows]) for j in range(len(header))]
+    if "%s" in formats:
+        rows = zip(*(
+            [_fmt(row[j]) for row in rows] if spec == "%s" else [row[j] for row in rows]
+            for j, spec in enumerate(formats)
+        ))
     line = ",".join(formats) + "\n"
-    text = ",".join(header) + "\n" + "".join(map(line.__mod__, zip(*columns)))
+
+    def write(stream):
+        stream.write(",".join(header) + "\n")
+        stream.writelines(map(line.__mod__, map(tuple, rows)))
+
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            write(fh)
     else:
-        sys.stdout.write(text)
+        write(sys.stdout)
 
 
 # ------------------------------------------------------------ sweep parsing
@@ -98,8 +103,7 @@ def _log_grid(start: float, stop: float, points: int) -> tuple[float, ...]:
     la, lb = math.log(start), math.log(stop)
     # The exponents la + i*(lb-la)/(points-1) in one NumPy expression: the
     # same IEEE operations in the same order as a loop, so the same bits.
-    exponents = la + np.arange(points) * (lb - la) / (points - 1)
-    grid = list(map(math.exp, exponents.tolist()))
+    grid = list(map(math.exp, la + np.arange(points) * (lb - la) / (points - 1)))
     grid[0], grid[-1] = start, stop
     return tuple(grid)
 
@@ -140,13 +144,13 @@ def _parse_sweep(text: str) -> SweepSpec:
     return SweepSpec(var, tuple(grid))
 
 
-def _swept(variable: str, grid) -> list:
+def _swept(variable: str, grid):
     """The values the rows of a sweep evaluate: counts are rounded, and an
     odd n moves up one slot, as BlocklengthPlan does (the series needs an
     even n). A count below its minimum is left for the command's checks to
     reject."""
     if variable not in ("m", "n"):
-        return list(grid)
+        return grid
     counts = [int(round(value)) for value in grid]
     return [n + n % 2 for n in counts] if variable == "n" else counts
 
