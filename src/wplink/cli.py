@@ -274,7 +274,7 @@ def _power_point(a, p_t, p_e) -> tuple[float, float, float]:
         if a <= 0.0:
             raise DomainError("cannot infer --pe from --pt when a = 0")
         p_e = p_t / a
-        if a >= 0.0 and not 0.0 < p_e < math.inf:
+        if a > 0.0 and not 0.0 < p_e < math.inf:  # a NaN a stays for its own check
             raise DomainError(
                 f"flags collide: pt={p_t!r} and a={a!r} give p_e={p_e!r}, but p_e must be"
                 " finite and > 0"
