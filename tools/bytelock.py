@@ -22,8 +22,10 @@ The corpus is built here, from this repository's ``bench/`` and
 * a hostile grid: listed field n-sweeps (odd, zero and repeated n, a dense
   field, a field whose coefficient sum passes 1e300 only at the larger n,
   small supplies), sweeps that fail in a middle row, sweeps with infinite
-  ends, and seeded random argv over every flag (absent, ordinary or
-  hostile values, sweeps and config files).
+  ends or an overflowing span, ``optpower`` sweeps over p_e and eps (the
+  SearchError region, p_e near the double range's ends, hostile
+  ``--sigma2``, an ignored variable), and seeded random argv over every
+  flag (absent, ordinary or hostile values, sweeps and config files).
 
 Standard library only.
 """
@@ -156,6 +158,43 @@ def listed_argv() -> list[tuple[str, ...]]:
     for pe, a in (("1e-300", "1e-300"), ("1e300", "1e300"), ("1", "1e-320"), ("1e-320", "1")):
         for cmd in ("pes", "rate", "plan"):
             out.append((cmd, "-m", "100", "-n", "2026", "--pe", pe, "-a", a, "--eps", "0.05"))
+    # A linear sweep whose span overflows, and a power ratio that is not
+    # positive beside --pt alone.
+    out += [
+        ("pes", "-m", "100", "-n", "50", "--sweep", "a:-1e308:1e308:3"),
+        ("plan", "--eps", "0.05", "--sweep", "a:-1e308:1e308:3"),
+        ("optpower", "--eps", "0.05", "--sweep", "pe:-1e308:1e308:3"),
+        ("rate", "--eps", "0.05", "--pe", "100", "--sweep", "pt:-1e308:1e308:3"),
+    ]
+    for a in ("-1", "0", "-0", "nan", "-inf"):
+        out += [
+            ("pes", "-m", "100", "-n", "50", "--pt", "1", "-a", a),
+            ("rate", "-m", "100", "-n", "50", "--eps", "0.05", "--pt", "1", "-a", a),
+            ("plan", "--eps", "0.05", "--pt", "1", "-a", a),
+        ]
+    # optpower sweeps: every row of a pe or eps sweep is one search.
+    optpower = ("optpower", "--eps")
+    out += [
+        (*optpower, "1e-3", "--sweep", "pe:1:1e6:60:log"),
+        (*optpower, "0.05", "--sweep", "pe:0.1:1e8:60:log"),
+        (*optpower, "0.5", "--sweep", "pe:10:1e8:60:log"),
+        (*optpower, "0.05", "--sigma2", "1e-300", "--sweep", "pe:1e4:1e12:9:log"),  # fails mid-sweep
+        (*optpower, "0.05", "--sweep", "pe:1e-3:10:4:log"),  # starts in the SearchError region
+        (*optpower, "0.05", "--sweep", "pe:1e-320:1e-300:3:log"),
+        (*optpower, "1e-300", "--sweep", "pe:1e290:1e300:3:log"),
+        (*optpower, "0.05", "--sweep", "pe:1e300:1.7e308:3:log"),
+        (*optpower, "0.05", "--pe", "100", "--sweep", "a:0.1:1:3"),
+        (*optpower, "0.05", "--pe", "0.01", "--sweep", "m:1:100:3"),
+        ("optpower", "--pe", "100", "--sweep", "eps:0.5:1.5:3"),
+        ("optpower", "--pe", "100", "--sweep", "eps:1e-4:0.9:40:log"),
+        ("optpower", "--pe", "0.05", "--sweep", "eps:1e-4:0.9:40:log"),
+        ("optpower", "--pe", "1e5", "--sigma2", "3", "--sweep", "eps:1e-300:0.5:7:log"),
+    ]
+    for sigma2 in ("0", "inf", "1e-300", "-1", "nan", "1e300"):
+        out += [
+            (*optpower, "0.05", "--sigma2", sigma2, "--sweep", "pe:100:1e4:5:log"),
+            (*optpower, "0.05", "--pe", "100", "--sigma2", sigma2),
+        ]
     return out
 
 
