@@ -462,22 +462,38 @@ def _optpower_prepare(args, dest):
         raise DomainError("optpower applies to single mode only")
     if (args.pe is None and dest != "pe") or (args.eps is None and dest != "eps"):
         raise DomainError("optpower needs --pe and --eps")
+    # One lock-step search serves every row of a pe or eps sweep; the rows
+    # take its results in grid order. Any other sweep has one row to compute.
+    if dest not in ("pe", "eps"):
+        cells = next(_optpower_cells([args.eps], [args.pe], args.sigma2))
+        return lambda ns: ([], cells)
+    grid = args.sweep.grid
+    eps = grid if dest == "eps" else [args.eps] * len(grid)
+    p_e = grid if dest == "pe" else [args.pe] * len(grid)
+    cells = _optpower_cells(eps, p_e, args.sigma2)
+    return lambda ns: ([], next(cells))
 
-    def point(ns) -> tuple[list, list]:
-        pt_asym = single_pb.optimal_power_asymptotic(ns.pe, ns.sigma2, ns.eps)
-        pt_fbl, rate_fbl_nats = single_pb.optimal_power_fbl(ns.eps, ns.pe, ns.sigma2)
-        n = single_pb.min_transmit_blocklength(ns.eps)
-        link = single_pb.LinkParams(p_t=pt_asym, p_e=ns.pe, sigma2=ns.sigma2)
-        return [], [
+
+def _optpower_cells(eps, p_e, sigma2):
+    """The value cells of each row of (eps, p_e), in turn, raising where the
+    row's checks fail: the asymptotic optimum, the finite-frame search, the
+    link at p_asym, then the planned rate there (the search's own probe at
+    p_asym, with the energy-cap check of the plan's feasibility)."""
+    for e, pe, row in zip(eps, p_e, single_pb._optimal_powers(eps, p_e, sigma2)):
+        pt_asym = single_pb._unwrap(row.p_asym)
+        pt_fbl, rate_fbl_nats = single_pb._unwrap(row.best)
+        single_pb.LinkParams(p_t=pt_asym, p_e=pe, sigma2=sigma2)
+        rate_asym_nats, m = single_pb._unwrap(row.rate_at_asym)
+        n = single_pb.min_transmit_blocklength(e)
+        feasible = single_pb.transmit_len_within_energy_cap(n, m, pt_asym / pe, e)
+        yield [
             pt_asym,
             pt_fbl,
-            pt_asym / ns.pe,
-            pt_fbl / ns.pe,
-            _planned_rate_bits(n, pt_asym / ns.pe, link, ns.eps),
+            pt_asym / pe,
+            pt_fbl / pe,
+            rate_asym_nats / _LN2 if feasible else None,
             rate_fbl_nats / _LN2,
         ]
-
-    return point
 
 
 def cmd_optpower(args) -> int:
@@ -585,10 +601,11 @@ def _figure_fig3():
 def _figure_optimal_power(ratio: bool):
     """fig4: both optimal powers against p_e at eps = 0.05; fig5 (``ratio``):
     the same scan as power ratios."""
+    grid = _log_grid(1e2, 1e4, 25)
     rows = []
-    for p_e in _log_grid(1e2, 1e4, 25):
-        pt_asym = single_pb.optimal_power_asymptotic(p_e, 1.0, 0.05)
-        pt_fbl, _ = single_pb.optimal_power_fbl(0.05, p_e, 1.0)
+    for p_e, row in zip(grid, single_pb._optimal_powers([0.05] * len(grid), grid, 1.0)):
+        pt_asym = single_pb._unwrap(row.p_asym)
+        pt_fbl, _ = single_pb._unwrap(row.best)
         scale = p_e if ratio else 1.0
         rows.append([p_e, pt_asym / scale, pt_fbl / scale])
     xs, opt_asym, opt_fbl = zip(*rows)

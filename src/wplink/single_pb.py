@@ -15,7 +15,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
+import numpy as np
 from scipy.special import lambertw
 
 __all__ = [
@@ -334,8 +336,12 @@ def _harvest_floor(a: float, growth: float) -> float:
 def _harvest_len(floor: float, n: int, a: float, epsilon: float) -> int:
     """The harvest length of a real floor: its ceiling, unless it overflowed."""
     if floor == math.inf:
-        raise UnsatisfiableError(f"harvest floor overflows for n={n!r}, a={a!r}, eps={epsilon!r}")
+        raise _floor_overflow(n, a, epsilon)
     return math.ceil(floor)
+
+
+def _floor_overflow(n: int, a: float, epsilon: float) -> UnsatisfiableError:
+    return UnsatisfiableError(f"harvest floor overflows for n={n!r}, a={a!r}, eps={epsilon!r}")
 
 
 def harvest_len_feasible_at_floor(m: float, a: float, epsilon: float) -> bool:
@@ -461,16 +467,10 @@ def high_reliability_rate(link: LinkParams, epsilon: float) -> float:
 # =============================================================================
 
 
-def _optimum(p_e: float, sigma2: float, epsilon: float) -> tuple[float, float]:
-    """(p*/sigma2, delta) of the asymptotic rate's stationarity condition.
-
-    With the budget b = (p_e/sigma2) ln(1+eps/2), t = b - 1 and
-    delta = 1 + W0(t/e), the optimum is p*/sigma2 = t/W0(t/e) - 1, which is
-    (delta - b)/(1 - delta). As b -> 0 the argument t/e nears the branch
-    point -1/e and t/W0 - 1 cancels, so there delta comes from the series
-    p - p^2/3 + 11p^3/72 - 43p^4/540 in p = sqrt(2b) and the optimum from
-    the second form.
-    """
+def _budget(p_e: float, sigma2: float, epsilon: float) -> float:
+    """The power budget b = (p_e/sigma2) ln(1+eps/2) of the asymptotic
+    optimum, after the checks of its inputs; a budget that is 0 or not
+    finite is a DomainError."""
     _check_positive("p_e", p_e)
     _check_positive("sigma2", sigma2)
     _check_epsilon(epsilon)
@@ -481,16 +481,40 @@ def _optimum(p_e: float, sigma2: float, epsilon: float) -> tuple[float, float]:
             f"power budget (p_e/sigma2) ln(1+eps/2) must be finite and > 0, "
             f"got {b!r} from p_e={p_e!r}, sigma2={sigma2!r}"
         )
-    if b < _BRANCH_BUDGET:
-        p = math.sqrt(2.0 * b)
-        delta = p * (1.0 - p * (1.0 / 3.0 - p * (11.0 / 72.0 - p * 43.0 / 540.0)))
-        return (delta - b) / (1.0 - delta), delta
-    t = b - 1.0
-    if t == 0.0:
+    return b
+
+
+def _optima(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p*/sigma2, delta) of the asymptotic rate's stationarity condition, for
+    each budget of ``b`` (from :func:`_budget`).
+
+    With t = b - 1 and delta = 1 + W0(t/e), the optimum is
+    p*/sigma2 = t/W0(t/e) - 1, which is (delta - b)/(1 - delta). As b -> 0
+    the argument t/e nears the branch point -1/e and t/W0 - 1 cancels, so
+    there delta comes from the series p - p^2/3 + 11p^3/72 - 43p^4/540 in
+    p = sqrt(2b) and the optimum from the second form. Each element gets the
+    IEEE operations of a scalar evaluation; ``lambertw`` is one ufunc either
+    way.
+    """
+    x, delta = np.empty_like(b), np.empty_like(b)
+    series = b < _BRANCH_BUDGET
+    bs = b[series]
+    p = np.sqrt(2.0 * bs)
+    ds = p * (1.0 - p * (1.0 / 3.0 - p * (11.0 / 72.0 - p * 43.0 / 540.0)))
+    x[series], delta[series] = (ds - bs) / (1.0 - ds), ds
+    t = b[~series] - 1.0
+    w = lambertw(t * _INV_E).real
+    with np.errstate(divide="ignore", invalid="ignore"):
         # Limit t -> 0 of t / W0(t/e) is e.
-        return math.e - 1.0, 1.0
-    w = float(lambertw(t * _INV_E).real)
-    return t / w - 1.0, 1.0 + w
+        x[~series] = np.where(t == 0.0, math.e - 1.0, t / w - 1.0)
+    delta[~series] = 1.0 + w
+    return x, delta
+
+
+def _optimum(p_e: float, sigma2: float, epsilon: float) -> tuple[float, float]:
+    """(p*/sigma2, delta) of one (p_e, sigma2, eps); see :func:`_optima`."""
+    x, delta = _optima(np.array([_budget(p_e, sigma2, epsilon)]))
+    return float(x[0]), float(delta[0])
 
 
 def optimal_power_asymptotic(p_e: float, sigma2: float, epsilon: float) -> float:
@@ -514,24 +538,224 @@ def optimal_power_slope(p_e: float, sigma2: float, epsilon: float) -> float:
     return math.log1p(0.5 * epsilon) / _optimum(p_e, sigma2, epsilon)[1]
 
 
-def _rate_probe(epsilon: float, p_e: float, sigma2: float):
-    """The rate that :func:`optimal_power_fbl` maximizes, as a function of p_t:
-    ``achievable_rate_fbl(BlocklengthPlan(min_harvest_blocklength(n, p_t/p_e,
-    eps), n, eps), LinkParams(p_t, p_e, sigma2)).rate_nats`` for the shortest
-    even n, bit for bit. n, the harvest floor's growth term and the checks of
-    eps, p_e and sigma2 are taken once here, so a probe is plain arithmetic."""
+def _libm(func, values: np.ndarray) -> np.ndarray:
+    """``func`` (a ``math`` function) of each element. NumPy's own exp, log1p
+    and log can differ from libm's in the last bit, so a batch that must
+    match scalar evaluations takes them from libm."""
+    return np.fromiter(map(func, values.tolist()), float, values.size)
+
+
+def _search_checks(epsilon: float, p_e: float, sigma2: float) -> int:
+    """The checks :func:`optimal_power_fbl` makes before its search, in its
+    order; returns the shortest even n for eps."""
     n = min_transmit_blocklength(epsilon)
     _check_positive("p_e", p_e, finite=True)
     _check_positive("sigma2", sigma2, finite=True)
-    growth = _floor_growth(n, epsilon)
+    if 1e-6 * p_e == 0.0:
+        raise DomainError(f"p_e={p_e!r} is too small: the bracket end 1e-6 * p_e is 0")
+    return n
 
-    def rate_at(p_t: float) -> float:
-        a = p_t / p_e
-        m = _harvest_len(_harvest_floor(a, growth), n, a, epsilon)
-        raw = _raw_rate_nats(m, n, p_t / sigma2, epsilon)
-        return 0.0 if raw < 0.0 else raw
 
-    return rate_at
+class _RateProbe:
+    """The rate that :func:`optimal_power_fbl` maximizes, for rows of (eps,
+    p_e) that share sigma2 and have passed :func:`_search_checks`: at p_t,
+    ``achievable_rate_fbl(BlocklengthPlan(min_harvest_blocklength(n, p_t/p_e,
+    eps), n, eps), LinkParams(p_t, p_e, sigma2)).rate_nats`` for the shortest
+    even n, bit for bit. n, the harvest floor's growth term and the penalty's
+    constants are taken once per row here.
+
+    A call probes any rows at once, a row as often as it is listed, with the
+    scalar path's IEEE operations in its order: arithmetic, sqrt and ceil in
+    NumPy float64, log1p from libm.
+    """
+
+    def __init__(self, epsilon: list, p_e: list, sigma2: float, n: list[int]) -> None:
+        self.epsilon, self.n, self.sigma2 = epsilon, n, sigma2
+        self.p_e = np.array(p_e, dtype=float)
+        self.growth = np.array(list(map(_floor_growth, n, epsilon)))
+        eps = np.array(epsilon, dtype=float)
+        with np.errstate(over="ignore"):
+            self.scale = (2.0 + eps) / eps
+        self.n_f = np.array(n, dtype=float)
+        self.quarter = np.array([k ** 0.25 for k in n])
+
+    def __call__(self, rows: np.ndarray, p_t: np.ndarray):
+        """(rate, m, a, overflow) at the powers ``p_t`` of ``rows``: the
+        clamped rate in nats, the harvest length, the power ratio, and where
+        the harvest floor overflows, which :meth:`error` turns into that
+        row's error (its rate and m are then meaningless)."""
+        a = p_t / self.p_e[rows]
+        growth = self.growth[rows]
+        n = self.n_f[rows]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            floor = np.where(a == 0.0, 0.0, np.where(growth > 0.0, 2.0 * a / growth, np.inf))
+            m = np.ceil(floor)
+            gamma = p_t / self.sigma2
+            snr_frac = gamma / (gamma + 1.0)
+            penalty = np.where(snr_frac == 0.0, 0.0, np.sqrt(self.scale[rows] * snr_frac * n))
+            numer = n / 2.0 * _libm(math.log1p, gamma) - penalty - self.quarter[rows] - 1.0
+            raw = numer / (n + m)
+        return np.where(raw < 0.0, 0.0, raw), m, a, floor == np.inf
+
+    def error(self, row: int, a) -> UnsatisfiableError:
+        return _floor_overflow(self.n[row], float(a), self.epsilon[row])
+
+
+class _PowerRow(NamedTuple):
+    """One row of :func:`_optimal_powers`. Each field holds a value or the
+    error that computing it raises (see :func:`_unwrap`):
+
+    - ``p_asym``: ``optimal_power_asymptotic(p_e, sigma2, eps)``;
+    - ``rate_at_asym``: (clamped rate in nats, harvest length m) at p_asym,
+      from the search's probe; None where the search failed;
+    - ``best``: ``optimal_power_fbl(eps, p_e, sigma2)``.
+    """
+
+    p_asym: float | DomainError
+    rate_at_asym: tuple[float, int] | UnsatisfiableError | None
+    best: tuple[float, float] | Exception
+
+
+def _unwrap(cell):
+    """The value of a :class:`_PowerRow` field; a field holding an error
+    raises it."""
+    if isinstance(cell, Exception):
+        raise cell
+    return cell
+
+
+def _better(rate, x, best_rate, best_x) -> np.ndarray:
+    """Where (rate, x) > (best_rate, best_x) as Python tuples compare: a
+    larger rate, or an equal rate at a larger x. A NaN rate never wins and is
+    never beaten."""
+    return (rate > best_rate) | ((rate == best_rate) & (x > best_x))
+
+
+def _optimal_powers(epsilon: list, p_e: list, sigma2: float) -> list[_PowerRow]:
+    """:func:`optimal_power_fbl` and :func:`optimal_power_asymptotic` for each
+    row of the equal-length ``epsilon`` and ``p_e``, with a shared sigma2.
+
+    Every row runs the same 32-point pre-scan and golden-section steps in
+    lock-step; an active mask freezes each row at its own stopping rule or
+    at its first error. Each row gets the bits of its scalar search, and the
+    error that search raises, in the same order of checks.
+    """
+    count = len(p_e)
+    p_asym: list = [None] * count
+    budgets, valued = [], []
+    for i, (eps, pe) in enumerate(zip(epsilon, p_e)):
+        try:
+            budgets.append(_budget(pe, sigma2, eps))
+        except DomainError as exc:
+            p_asym[i] = exc
+        else:
+            valued.append(i)
+    for i, value in zip(valued, (sigma2 * _optima(np.array(budgets))[0]).tolist()):
+        p_asym[i] = value
+
+    best: list = [None] * count
+    rate_at_asym: list = [None] * count
+    search, ns = [], []
+    for i, (eps, pe) in enumerate(zip(epsilon, p_e)):
+        try:
+            ns.append(_search_checks(eps, pe, sigma2))
+        except DomainError as exc:
+            best[i] = exc
+        else:
+            search.append(i)
+    if search:
+        probe = _RateProbe([epsilon[i] for i in search], [p_e[i] for i in search], sigma2, ns)
+        found = _search(probe, [p_asym[i] for i in search])
+        for i, (cell, at_asym) in zip(search, found):
+            best[i], rate_at_asym[i] = cell, at_asym
+    return [_PowerRow(*row) for row in zip(p_asym, rate_at_asym, best)]
+
+
+def _search(probe: _RateProbe, p_asym: list) -> list[tuple]:
+    """(best cell, rate-at-p_asym cell) of each row of ``probe``, whose
+    asymptotic optimum (or its error) is ``p_asym``; see
+    :func:`_optimal_powers`."""
+    count = len(p_asym)
+    errors: list = [None] * count
+    failed = np.zeros(count, dtype=bool)
+
+    def probe_at(rows, x):
+        """The rates of ``rows`` at p_t = exp(x). A row's first overflow in
+        listed order is its error, unless it has one already."""
+        rate, _, a, overflow = probe(rows, _libm(math.exp, x))
+        for k in np.flatnonzero(overflow).tolist():
+            row = int(rows[k])
+            if not failed[row]:
+                errors[row], failed[row] = probe.error(row, a[k]), True
+        return rate
+
+    # The 32-point pre-scan in ln(p_t) over [1e-6 p_e, p_e], and its winner.
+    lo = _libm(math.log, 1e-6 * probe.p_e)
+    hi = _libm(math.log, probe.p_e)
+    grid = lo[:, None] + (hi - lo)[:, None] * np.arange(32) / 31.0
+    everyone = np.arange(count)
+    scans = probe_at(np.tile(everyone, 32), grid.T.ravel()).reshape(32, count)
+    best_rate, best_x, idx = scans[0], grid[:, 0], np.zeros(count, dtype=int)
+    for j in range(1, 32):
+        won = _better(scans[j], grid[:, j], best_rate, best_x)
+        best_rate = np.where(won, scans[j], best_rate)
+        best_x = np.where(won, grid[:, j], best_x)
+        idx = np.where(won, j, idx)
+    for row in np.flatnonzero(~failed & (best_rate <= 0.0)).tolist():
+        errors[row], failed[row] = SearchError("rate is zero over the whole power bracket"), True
+
+    # Golden-section refinement around each pre-scan winner.
+    a_x = grid[everyone, np.maximum(idx - 1, 0)]
+    b_x = grid[everyone, np.minimum(idx + 1, 31)]
+    x1 = b_x - _GOLDEN * (b_x - a_x)
+    x2 = a_x + _GOLDEN * (b_x - a_x)
+    active = np.flatnonzero(~failed)
+    f = probe_at(np.concatenate([active, active]), np.concatenate([x1[active], x2[active]]))
+    f1, f2 = np.zeros(count), np.zeros(count)
+    f1[active], f2[active] = f[: active.size], f[active.size:]
+    for _ in range(_FBL_ITERS):
+        active = active[~failed[active]]
+        lo_x, hi_x = a_x[active], b_x[active]
+        done = hi_x - lo_x <= _FBL_XTOL * np.maximum(1.0, np.abs(lo_x) + np.abs(hi_x))
+        active = active[~done]
+        if not active.size:
+            break
+        p1, p2, r1, r2 = x1[active], x2[active], f1[active], f2[active]
+        right = r1 < r2  # the maximum lies right of x1: drop [a, x1)
+        lo_x = np.where(right, p1, a_x[active])
+        hi_x = np.where(right, b_x[active], p2)
+        step = _GOLDEN * (hi_x - lo_x)
+        x_new = np.where(right, lo_x + step, hi_x - step)
+        f_new = probe_at(active, x_new)
+        a_x[active], b_x[active] = lo_x, hi_x
+        x1[active], x2[active] = np.where(right, p2, x_new), np.where(right, x_new, p1)
+        f1[active], f2[active] = np.where(right, r2, f_new), np.where(right, f_new, r1)
+
+    # The final candidates (f1, x1), (f2, x2), the pre-scan winner and, when
+    # it lies in the bracket, the asymptotic optimum, which every row that
+    # finished its search probes.
+    at_asym: list = [None] * count
+    for row in np.flatnonzero(~failed).tolist():
+        if isinstance(p_asym[row], DomainError):
+            errors[row], failed[row] = p_asym[row], True
+    rows = np.flatnonzero(~failed)
+    pa = np.array([p_asym[row] for row in rows.tolist()], dtype=float)
+    rate, m, a, overflow = probe(rows, pa)
+    pe = probe.p_e[rows]
+    inside = (1e-6 * pe <= pa) & (pa <= pe)
+    for k, row in enumerate(rows.tolist()):
+        at_asym[row] = probe.error(row, a[k]) if overflow[k] else (float(rate[k]), int(m[k]))
+        if overflow[k] and inside[k]:
+            errors[row] = at_asym[row]
+    rate_star, x_star = f1[rows], x1[rows]
+    for r, x, use in ((f2[rows], x2[rows], True), (best_rate[rows], best_x[rows], True),
+                      (rate, _libm(math.log, np.where(inside, pa, 1.0)), inside)):
+        won = use & _better(r, x, rate_star, x_star)
+        rate_star, x_star = np.where(won, r, rate_star), np.where(won, x, x_star)
+    for row, p_t, r in zip(rows.tolist(), _libm(math.exp, x_star).tolist(), rate_star.tolist()):
+        if errors[row] is None:
+            errors[row] = (p_t, r)
+    return list(zip(errors, at_asym))
 
 
 def optimal_power_fbl(epsilon: float, p_e: float, sigma2: float = 1.0) -> tuple[float, float]:
@@ -539,11 +763,10 @@ def optimal_power_fbl(epsilon: float, p_e: float, sigma2: float = 1.0) -> tuple[
 
     For each candidate power the blocklengths are re-planned: the shortest
     even transmit length for the error target, then the shortest harvest
-    length for the resulting power ratio. Each such rate probe is plain
-    arithmetic on constants taken once per call (see ``_rate_probe``). The
-    search is golden-section on ln(p_t) over [1e-6 * p_e, p_e], seeded by a
-    32-point pre-scan; the asymptotically optimal power is always included
-    as a candidate.
+    length for the resulting power ratio. The search is golden-section on
+    ln(p_t) over [1e-6 * p_e, p_e], seeded by a 32-point pre-scan; the
+    asymptotically optimal power is always included as a candidate. This is
+    the one-row case of the lock-step search :func:`_optimal_powers`.
 
     Returns:
         (p_t_star, rate_nats_star).
@@ -556,37 +779,4 @@ def optimal_power_fbl(epsilon: float, p_e: float, sigma2: float = 1.0) -> tuple[
             range.
         SearchError: If the rate is zero over the whole bracket.
     """
-    rate_at = _rate_probe(epsilon, p_e, sigma2)
-    if 1e-6 * p_e == 0.0:
-        raise DomainError(f"p_e={p_e!r} is too small: the bracket end 1e-6 * p_e is 0")
-    lo, hi = math.log(1e-6 * p_e), math.log(p_e)
-    grid = [lo + (hi - lo) * i / 31.0 for i in range(32)]
-    scans = [(rate_at(math.exp(x)), x) for x in grid]
-    best_rate, best_x = max(scans)
-    if best_rate <= 0.0:
-        raise SearchError("rate is zero over the whole power bracket")
-
-    # Golden-section refinement around the pre-scan winner.
-    idx = grid.index(best_x)
-    a_x = grid[max(idx - 1, 0)]
-    b_x = grid[min(idx + 1, 31)]
-    x1 = b_x - _GOLDEN * (b_x - a_x)
-    x2 = a_x + _GOLDEN * (b_x - a_x)
-    f1, f2 = rate_at(math.exp(x1)), rate_at(math.exp(x2))
-    for _ in range(_FBL_ITERS):
-        if b_x - a_x <= _FBL_XTOL * max(1.0, abs(a_x) + abs(b_x)):
-            break
-        if f1 < f2:
-            a_x, x1, f1 = x1, x2, f2
-            x2 = a_x + _GOLDEN * (b_x - a_x)
-            f2 = rate_at(math.exp(x2))
-        else:
-            b_x, x2, f2 = x2, x1, f1
-            x1 = b_x - _GOLDEN * (b_x - a_x)
-            f1 = rate_at(math.exp(x1))
-    candidates = [(f1, x1), (f2, x2), (best_rate, best_x)]
-    p_asym = optimal_power_asymptotic(p_e, sigma2, epsilon)
-    if 1e-6 * p_e <= p_asym <= p_e:
-        candidates.append((rate_at(p_asym), math.log(p_asym)))
-    rate_star, x_star = max(candidates)
-    return math.exp(x_star), rate_star
+    return _unwrap(_optimal_powers([epsilon], [p_e], sigma2)[0].best)

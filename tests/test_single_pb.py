@@ -5,6 +5,7 @@ import math
 import re
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -435,6 +436,22 @@ def test_optimal_power_fbl_rejects_out_of_range_powers(p_e, sigma2, message):
         optimal_power_fbl(0.05, p_e, sigma2)
 
 
+def _batched_probe(eps, p_e, sigma2):
+    """The lock-step search's rate probe as a function of p_t, for the row
+    (eps, p_e) of a two-row batch; it raises the row's error where the
+    harvest floor overflows."""
+    ns = [single_pb._search_checks(e, pe, sigma2) for e, pe in ((0.5, 1e4), (eps, p_e))]
+    probe = single_pb._RateProbe([0.5, eps], [1e4, p_e], sigma2, ns)
+
+    def rate_at(p_t):
+        rate, _, a, overflow = probe(np.array([0, 1, 0]), np.array([1.0, p_t, 2.0]))
+        if overflow[1]:
+            raise probe.error(1, a[1])
+        return float(rate[1])
+
+    return rate_at
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     eps=st.floats(1e-6, 0.9),
@@ -446,7 +463,7 @@ def test_rate_probe_is_bit_identical_to_public_path(eps, log_pe, log_sigma2, fra
     p_e, sigma2 = 10.0 ** log_pe, 10.0 ** log_sigma2
     # frac None is a = 0; otherwise p_t runs log-uniformly over [1e-6 p_e, p_e]
     p_t = 0.0 if frac is None else p_e * 10.0 ** (-6.0 * frac)
-    probe = single_pb._rate_probe(eps, p_e, sigma2)
+    probe = _batched_probe(eps, p_e, sigma2)
     assert probe(p_t) == _replanned_rate(p_t, p_e, sigma2, eps)
 
 
@@ -454,12 +471,103 @@ def test_rate_probe_is_bit_identical_to_public_path(eps, log_pe, log_sigma2, fra
 def test_rate_probe_keeps_unsatisfiable_error(eps, p_e, p_t):
     # the harvest floor overflows: both paths raise the same error, except at
     # a = 0, where no harvest is needed
-    assert single_pb._rate_probe(eps, p_e, 1.0)(0.0) == _replanned_rate(0.0, p_e, 1.0, eps)
+    assert _batched_probe(eps, p_e, 1.0)(0.0) == _replanned_rate(0.0, p_e, 1.0, eps)
     with pytest.raises(single_pb.UnsatisfiableError) as public:
         _replanned_rate(p_t, p_e, 1.0, eps)
     with pytest.raises(single_pb.UnsatisfiableError, match="harvest floor overflows") as probe:
-        single_pb._rate_probe(eps, p_e, 1.0)(p_t)
+        _batched_probe(eps, p_e, 1.0)(p_t)
     assert str(probe.value) == str(public.value)
+
+
+def _outcome(call):
+    """What a call returns, or the type and message of the error it raises."""
+    try:
+        return call()
+    except (DomainError, SearchError, single_pb.UnsatisfiableError) as exc:
+        return type(exc), str(exc)
+
+
+_HOSTILE_EPS = st.sampled_from([1e-300, 1e-320, 0.0, 1.0, 1.5, math.nan])
+_HOSTILE_PE = st.sampled_from([1e-320, 1e-300, 1e-3, 0.01, 1e300, 1.7e308, math.inf, 0.0, -1.0, math.nan])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.floats(1e-4, 0.9) | _HOSTILE_EPS,
+            st.floats(-3.0, 8.0).map(lambda v: 10.0 ** v) | _HOSTILE_PE,
+        ),
+        min_size=1,
+        max_size=10,
+    ),
+    sigma2=st.floats(0.01, 100.0) | st.sampled_from([1.0, 1e-300, 1e300, 5e-324, 0.0, math.inf]),
+)
+def test_batched_search_rows_match_one_row_calls(rows, sigma2):
+    # rows that raise (SearchError below p_e ~ 1, a bracket end that
+    # underflows, overflowing floors and budgets, bad eps) sit among rows
+    # that do not; none may change another row's result
+    eps, p_e = map(list, zip(*rows))
+    for e, pe, row in zip(eps, p_e, single_pb._optimal_powers(eps, p_e, sigma2)):
+        assert _outcome(lambda: single_pb._unwrap(row.best)) == _outcome(
+            lambda: optimal_power_fbl(e, pe, sigma2)
+        )
+        assert _outcome(lambda: single_pb._unwrap(row.p_asym)) == _outcome(
+            lambda: optimal_power_asymptotic(pe, sigma2, e)
+        )
+
+
+def _scalar_search(eps, p_e, sigma2):
+    """optimal_power_fbl as it ran one row at a time before its rows ran in
+    lock-step (the same pre-scan, golden section and candidates), on the
+    public-path rate: the reference of the batched search."""
+    rate_at = lambda p_t: _replanned_rate(p_t, p_e, sigma2, eps)  # noqa: E731
+    lo, hi = math.log(1e-6 * p_e), math.log(p_e)
+    grid = [lo + (hi - lo) * i / 31.0 for i in range(32)]
+    best_rate, best_x = max((rate_at(math.exp(x)), x) for x in grid)
+    if best_rate <= 0.0:
+        raise SearchError("rate is zero over the whole power bracket")
+    idx = grid.index(best_x)
+    a, b = grid[max(idx - 1, 0)], grid[min(idx + 1, 31)]
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = b - golden * (b - a), a + golden * (b - a)
+    f1, f2 = rate_at(math.exp(x1)), rate_at(math.exp(x2))
+    for _ in range(200):
+        if b - a <= 1e-10 * max(1.0, abs(a) + abs(b)):
+            break
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + golden * (b - a)
+            f2 = rate_at(math.exp(x2))
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - golden * (b - a)
+            f1 = rate_at(math.exp(x1))
+    candidates = [(f1, x1), (f2, x2), (best_rate, best_x)]
+    p_asym = optimal_power_asymptotic(p_e, sigma2, eps)
+    if 1e-6 * p_e <= p_asym <= p_e:
+        candidates.append((rate_at(p_asym), math.log(p_asym)))
+    rate, x = max(candidates)
+    return math.exp(x), rate
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(st.floats(1e-6, 0.9), st.floats(-3.0, 8.0).map(lambda v: 10.0 ** v)),
+        min_size=1,
+        max_size=8,
+    ),
+    sigma2=st.floats(0.01, 100.0),
+)
+def test_batched_search_matches_scalar_reference(rows, sigma2):
+    # finite SNRs, where the public-path rate is the search's probe; rows in
+    # the SearchError region included
+    eps, p_e = map(list, zip(*rows))
+    for e, pe, row in zip(eps, p_e, single_pb._optimal_powers(eps, p_e, sigma2)):
+        assert _outcome(lambda: single_pb._unwrap(row.best)) == _outcome(
+            lambda: _scalar_search(e, pe, sigma2)
+        )
 
 
 def test_link_params_validation():
