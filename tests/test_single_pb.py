@@ -488,7 +488,9 @@ def _outcome(call):
 
 
 _HOSTILE_EPS = st.sampled_from([1e-300, 1e-320, 0.0, 1.0, 1.5, math.nan])
-_HOSTILE_PE = st.sampled_from([1e-320, 1e-300, 1e-3, 0.01, 1e300, 1.7e308, math.inf, 0.0, -1.0, math.nan])
+_HOSTILE_PE = st.sampled_from(
+    [1e-320, 1e-300, 1e-3, 0.01, 1e300, 1.7e308, math.inf, 0.0, -1.0, math.nan]
+)
 
 
 @settings(max_examples=60, deadline=None)
