@@ -136,7 +136,12 @@ def _parse_sweep(text: str) -> SweepSpec:
             raise DomainError("log sweep needs a positive start")
         grid = _log_grid(start, stop, points)
     else:
-        step = (stop - start) / (points - 1)
+        span = stop - start
+        if span == math.inf:  # the first point would be start + 0 * inf = NaN
+            raise DomainError(
+                f"sweep {text!r} spans more than the double range: STOP - START overflows"
+            )
+        step = span / (points - 1)
         grid = [start + i * step for i in range(points)]
         grid[-1] = stop
     if var in ("m", "n") and not all(map(math.isfinite, grid)):

@@ -638,6 +638,24 @@ def test_config_count_uses_integer_rule(tmp_path, capsys):
     assert "bad value for m" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pes", "-m", "100", "-n", "50", "--sweep", "a:-1e308:1e308:3"],
+        ["plan", "--eps", "0.05", "--sweep", "a:-1e308:1e308:3"],
+        ["optpower", "--eps", "0.05", "--sweep", "pe:-1e308:1e308:3"],
+    ],
+    ids=["pes", "plan", "optpower"],
+)
+def test_sweep_whose_span_overflows_is_one_error_line(capsys, argv):
+    # the step (STOP - START)/(POINTS - 1) was inf, so the first point was
+    # NaN: pes and plan failed with "power ratio a must be >= 0, got nan",
+    # optpower with "p_e must be > 0, got nan", values no flag gave
+    code, out, err = run_cli(capsys, *argv)
+    message = f"sweep {argv[-1]!r} spans more than the double range: STOP - START overflows"
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("spec", ["a:x:1:3", "a:0.1:1:5.0"])
 def test_malformed_sweep_names_the_sweep(capsys, spec):
     code, _, err = run_cli(capsys, "pes", "-m", "100", "-n", "50", "--sweep", spec)
