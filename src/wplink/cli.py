@@ -268,7 +268,8 @@ def _power_point(a, p_t, p_e) -> tuple[float, float, float]:
     :func:`_check_given_powers`. An a that is not finite contradicts any
     finite pt/pe. A p_e = pt/a or p_t = a*pe derived from two flags must
     pass the check a given one does; a p_e that fails names the two flags.
-    A negative or NaN a is left to the check of a itself."""
+    A negative or NaN a gets the check of a itself: here, beside --pt alone,
+    where a negative a would have nothing to divide; later for the rest."""
     if a is None:
         if p_t is None or p_e is None:
             raise DomainError("single mode needs -a, or --pt together with --pe")
@@ -277,6 +278,7 @@ def _power_point(a, p_t, p_e) -> tuple[float, float, float]:
         return a, a, 1.0
     if p_e is None:
         if a <= 0.0:
+            single_pb._check_nonnegative("power ratio a", a)  # a < 0 fails the check of a
             raise DomainError("cannot infer --pe from --pt when a = 0")
         p_e = p_t / a
         if a > 0.0 and not 0.0 < p_e < math.inf:  # a NaN a stays for its own check

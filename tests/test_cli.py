@@ -785,6 +785,25 @@ def test_derived_power_outside_double_range_is_one_error_line(capsys, argv, mess
     assert (code, out, err) == (3, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "base",
+    [["pes", "-m", "100", "-n", "50"], ["rate", "-m", "100", "-n", "50", "--eps", "0.05"],
+     ["plan", "--eps", "0.05"]],
+    ids=["pes", "rate", "plan"],
+)
+@pytest.mark.parametrize(
+    "a, message",
+    [("-1", "power ratio a must be >= 0, got -1.0"),
+     ("-1e300", "power ratio a must be >= 0, got -1e+300"),
+     ("0", "cannot infer --pe from --pt when a = 0")],
+    ids=["negative", "very-negative", "zero"],
+)
+def test_non_positive_ratio_beside_pt_alone_is_one_error_line(capsys, base, a, message):
+    # a negative a was answered "cannot infer --pe from --pt when a = 0"
+    code, out, err = run_cli(capsys, *base, "--pt", "1", f"-a={a}")
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
 # Every power flag of a command over these values, each flag also left out
 POWER_VALUES = [None, "0", "1e-300", "1e300", "inf", "nan", "-1"]
 POWER_GRID = {
