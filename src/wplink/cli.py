@@ -266,15 +266,20 @@ def _check_given_powers(p_t, p_e) -> None:
 def _power_point(a, p_t, p_e) -> tuple[float, float, float]:
     """(a, p_t, p_e) from whichever were given (None where not), after
     :func:`_check_given_powers`. An a that is not finite contradicts any
-    finite pt/pe. A p_e = pt/a or p_t = a*pe derived from two flags must
-    pass the check a given one does; a p_e that fails names the two flags.
-    A negative or NaN a gets the check of a itself: here, beside --pt alone,
-    where a negative a would have nothing to divide; later for the rest."""
+    finite pt/pe. A value derived from the flags must pass the check a given
+    one does: p_t = a alone (at p_e = 1) or a*pe, and p_e = pt/a; a p_e or a
+    ratio pt/pe that fails names the two flags. A negative or NaN a gets the
+    check of a itself: here, beside --pt alone, where a negative a would have
+    nothing to divide; later for the rest."""
     if a is None:
         if p_t is None or p_e is None:
             raise DomainError("single mode needs -a, or --pt together with --pe")
+        if p_t / p_e == math.inf:
+            raise _ratio_overflow(p_t, p_e)
         return p_t / p_e, p_t, p_e
     if p_e is None and p_t is None:
+        if a >= 0.0:
+            single_pb._check_nonnegative("p_t", a, finite=True)
         return a, a, 1.0
     if p_e is None:
         if a <= 0.0:
@@ -295,7 +300,15 @@ def _power_point(a, p_t, p_e) -> tuple[float, float, float]:
     ratio = p_t / p_e
     if ratio != a and not (math.isfinite(a) and abs(ratio - a) <= 1e-9 * max(abs(a), 1.0)):
         raise DomainError(f"inconsistent flags: a={a!r} but pt/pe={ratio!r}")
+    if ratio == math.inf:
+        raise _ratio_overflow(p_t, p_e)
     return a, p_t, p_e
+
+
+def _ratio_overflow(p_t, p_e) -> DomainError:
+    return DomainError(
+        f"flags collide: pt={p_t!r} and pe={p_e!r} give a=inf, but a must be finite"
+    )
 
 
 def _resolve_single(args) -> tuple[float, float, float]:

@@ -804,6 +804,29 @@ def test_non_positive_ratio_beside_pt_alone_is_one_error_line(capsys, base, a, m
     assert (code, out, err) == (3, "", f"error: {message}\n")
 
 
+RATIO_COLLIDE = "flags collide: pt=1e+300 and pe=1e-300 give a=inf, but a must be finite"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("pes -m 100 -n 50 -a inf", "p_t must be finite and >= 0, got inf"),
+        ("plan --eps 0.05 -a inf", "p_t must be finite and >= 0, got inf"),
+        ("rate --eps 0.05 -a inf", "p_t must be finite and >= 0, got inf"),
+        ("pes -m 100 -n 50 --pt 1e300 --pe 1e-300", RATIO_COLLIDE),
+        ("rate --eps 0.05 --pt 1e300 --pe 1e-300", RATIO_COLLIDE),
+        ("plan --eps 0.05 -a inf --pt 1e300 --pe 1e-300", RATIO_COLLIDE),
+    ],
+    ids=["pes-a-inf", "plan-a-inf", "rate-a-inf-planned", "pes-ratio-overflow",
+         "rate-ratio-overflow", "plan-ratio-overflow-matches-a"],
+)
+def test_infinite_power_ratio_is_one_error_line(capsys, argv, message):
+    # pes printed a row with a = inf; rate and plan failed on a harvest floor
+    # overflow at a = inf, a value no flag gave where a came from pt/pe
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
 # Every power flag of a command over these values, each flag also left out
 POWER_VALUES = [None, "0", "1e-300", "1e300", "inf", "nan", "-1"]
 POWER_GRID = {

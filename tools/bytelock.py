@@ -158,6 +158,12 @@ def listed_argv() -> list[tuple[str, ...]]:
     for pe, a in (("1e-300", "1e-300"), ("1e300", "1e300"), ("1", "1e-320"), ("1e-320", "1")):
         for cmd in ("pes", "rate", "plan"):
             out.append((cmd, "-m", "100", "-n", "2026", "--pe", pe, "-a", a, "--eps", "0.05"))
+    # A power ratio that is infinite or overflows: given alone, or as pt/pe.
+    for flags in (("-a", "inf"), ("-a", "1e308"), ("--pt", "1e300", "--pe", "1e-300"),
+                  ("-a", "inf", "--pt", "1e300", "--pe", "1e-300")):
+        for cmd in ("pes", "rate", "plan"):
+            out.append((cmd, "-m", "100", "-n", "2026", *flags, "--eps", "0.05"))
+        out.append(("rate", "--eps", "0.05", *flags))
     # A linear sweep whose span overflows, and a power ratio that is not
     # positive beside --pt alone.
     out += [
