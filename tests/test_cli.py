@@ -2,15 +2,20 @@
 # validation run. Most cases drive main() in-process; one subprocess test
 # covers the module entry point.
 
+import contextlib
 import hashlib
+import io
 import itertools
+import math
 import pathlib
 import re
 import shlex
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from wplink import cli, multi_pb, single_pb
 from wplink.cli import main
@@ -802,6 +807,138 @@ def test_non_positive_ratio_beside_pt_alone_is_one_error_line(capsys, base, a, m
     # a negative a was answered "cannot infer --pe from --pt when a = 0"
     code, out, err = run_cli(capsys, *base, "--pt", "1", f"-a={a}")
     assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
+# The CLI contract over argv drawn from the command grammar: each flag of the
+# four row commands absent, ordinary or hostile, given on the command line or
+# in a config file, with or without a sweep.
+CONTRACT_FLAGS = {
+    "--pt": ["1", "0.12", "10"],
+    "--pe": ["1", "100", "1000"],
+    "-a": ["0.1", "0.0012", "1"],
+    "--sigma2": ["1", "0.5"],
+    "--eps": ["0.05", "0.5", "0.01"],
+    "-m": ["100", "1500"],
+    "-n": ["50", "1000", "51"],
+    "--lambda": ["1e-3", "5e-3"],
+    "--ppb": ["1e3", "100"],
+    "--mu": ["1", "0.5"],
+    "--eta": ["3.6", "2.5"],
+    "--mc-trials": ["20"],
+    "--seed": ["0", "7"],
+}
+CONTRACT_HOSTILE = ["0", "1", "-1", "inf", "-inf", "nan", "1e300", "-1e300", "1e-300", "1e-320"]
+# A trial count of 1e300 is left to its own strict XFAIL below.
+CONTRACT_HOSTILE_TRIALS = [value for value in CONTRACT_HOSTILE if value != "1e300"]
+CONTRACT_ENDS = ["0", "1", "-1", "0.5", "2", "50", "2026", "inf", "-inf", "nan", "1e300",
+                 "-1e308", "1e308", "1e-300", "1e-320"]
+# Columns whose cells are probabilities, rates or counts.
+PROBABILITY_COLUMNS = {"pes", "pes_mc"}
+RATE_COLUMNS = {"rate_bits", "rate_bits_asymptotic", "rate_bits_at_pt_asym", "rate_bits_at_pt_fbl"}
+COUNT_MINIMA = {"m": 0, "n": 2, "n_min": 2, "m_min": 0, "total": 2}
+
+
+def _flag_key(flag):
+    return flag.lstrip("-").replace("-", "_")
+
+
+@st.composite
+def contract_argv(draw):
+    """(argv, config file text or None) of one draw: a bare command, or one of
+    HOSTILE_BASES' valid rows, with flags added."""
+    base = draw(st.sampled_from([None, *HOSTILE_BASES]))
+    if base is None:
+        argv = [draw(st.sampled_from(["pes", "rate", "optpower", "plan"]))]
+        kinds = ["absent", "absent", "ordinary", "ordinary", "ordinary", "hostile"]
+    else:
+        argv = list(HOSTILE_BASES[base])
+        kinds = ["absent"] * 5 + ["ordinary", "hostile"]
+    mode = draw(st.sampled_from([None, None, "single", "multi"]))
+    settings_ = [("--mode", mode)] if mode else []
+    for flag, ordinary in CONTRACT_FLAGS.items():
+        kind = draw(st.sampled_from(kinds))
+        if kind != "absent":
+            hostile = CONTRACT_HOSTILE_TRIALS if flag == "--mc-trials" else CONTRACT_HOSTILE
+            settings_.append((flag, draw(st.sampled_from(
+                ordinary if kind == "ordinary" else hostile))))
+    config = []
+    for flag, value in settings_:
+        if draw(st.integers(0, 4)) == 0:
+            config.append(f"{_flag_key(flag)} = {value}")
+        else:
+            argv.append(f"{flag}={value}")
+    if draw(st.booleans()):
+        var = draw(st.sampled_from(cli._SWEEPABLE))
+        start, stop = draw(st.sampled_from(CONTRACT_ENDS)), draw(st.sampled_from(CONTRACT_ENDS))
+        points = draw(st.sampled_from(["1", "3", "5"]))
+        scale = draw(st.sampled_from(["", ":log"]))
+        argv.append(f"--sweep={var}:{start}:{stop}:{points}{scale}")
+    return argv, "\n".join(config) + "\n" if config else None
+
+
+def _run_quietly(argv):
+    """(exit code, stdout, stderr) of main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: usage error
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _cell_faults(header, body, lead):
+    """Each cell of an exit-0 table that breaks the contract."""
+    faults = []
+    for row in body:
+        for j, (column, cell) in enumerate(zip(header, row)):
+            if cell in ("", "true", "false"):
+                continue
+            value = float(cell)
+            ok = math.isfinite(value)
+            if column in PROBABILITY_COLUMNS:
+                ok = ok and 0.0 <= value <= 1.0
+            elif column in RATE_COLUMNS:
+                ok = ok and value >= 0.0
+            elif column in COUNT_MINIMA and not (lead and j == 0):
+                ok = ok and re.fullmatch(r"\d+", cell) and int(cell) >= COUNT_MINIMA[column]
+            if not ok:
+                faults.append(f"{column}={cell}")
+    return faults
+
+
+@settings(max_examples=400, deadline=None)
+@given(draw=contract_argv())
+def test_cli_contract_over_drawn_argv(draw):
+    # exit 0, 2 or 3 and never a traceback; an exit-0 table holds only empty,
+    # true, false or finite cells, with pes in [0, 1], rates >= 0 and counts
+    # integers; an exit-3 run prints nothing and one error line
+    argv, config = draw
+    with tempfile.TemporaryDirectory() as work:
+        if config is not None:
+            path = pathlib.Path(work, "c.cfg")
+            path.write_text(config, encoding="utf-8")
+            argv = argv + ["--config", str(path)]
+        code, out, err = _run_quietly(argv)
+    event(f"exit {code}")
+    assert code in (0, 2, 3), (argv, config, code, err)
+    if code == 0:
+        header, body = rows(out)
+        lead = any(arg.startswith("--sweep=") for arg in argv)
+        assert not _cell_faults(header, body, lead), (argv, config, out)
+    elif code == 3:
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: "), (
+            argv, config, err)
+
+
+@pytest.mark.xfail(raises=OverflowError, strict=True,
+                   reason="montecarlo._map_blocks lists one slot per block of trials")
+def test_huge_monte_carlo_trial_count_is_one_error_line(capsys):
+    # 1e300 trials pass the count check (an integer within the double
+    # range), then [None] * blocks raises a bare OverflowError
+    code, out, err = run_cli(capsys, "pes", "-m", "100", "-n", "50", "-a", "0.1",
+                             "--mc-trials", "1e300")
+    assert code == 3 and out == "" and err.startswith("error: ")
 
 
 RATIO_COLLIDE = "flags collide: pt=1e+300 and pe=1e-300 give a=inf, but a must be finite"
