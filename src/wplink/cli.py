@@ -497,15 +497,12 @@ def _optpower_prepare(args, dest):
 def _optpower_cells(eps, p_e, sigma2):
     """The value cells of each row of (eps, p_e), in turn, raising where the
     row's checks fail: the asymptotic optimum, the finite-frame search, the
-    link at p_asym, then the planned rate there (the search's own probe at
-    p_asym, with the energy-cap check of the plan's feasibility)."""
-    for e, pe, row in zip(eps, p_e, single_pb._optimal_powers(eps, p_e, sigma2)):
+    link at p_asym, then the planned rate there (the search's own probe)."""
+    for pe, row in zip(p_e, single_pb._optimal_powers(eps, p_e, sigma2)):
         pt_asym = single_pb._unwrap(row.p_asym)
         pt_fbl, rate_fbl_nats = single_pb._unwrap(row.best)
         single_pb.LinkParams(p_t=pt_asym, p_e=pe, sigma2=sigma2)
-        rate_asym_nats, m = single_pb._unwrap(row.rate_at_asym)
-        n = single_pb.min_transmit_blocklength(e)
-        feasible = single_pb.transmit_len_within_energy_cap(n, m, pt_asym / pe, e)
+        rate_asym_nats, feasible = single_pb._unwrap(row.rate_at_asym)
         yield [
             pt_asym,
             pt_fbl,

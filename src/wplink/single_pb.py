@@ -606,13 +606,14 @@ class _PowerRow(NamedTuple):
     error that computing it raises (see :func:`_unwrap`):
 
     - ``p_asym``: ``optimal_power_asymptotic(p_e, sigma2, eps)``;
-    - ``rate_at_asym``: (clamped rate in nats, harvest length m) at p_asym,
-      from the search's probe; None where the search failed;
+    - ``rate_at_asym``: (clamped rate in nats, feasible) of the plan at
+      p_asym, as ``achievable_rate_fbl`` gives them, from the search's probe;
+      None where the search failed;
     - ``best``: ``optimal_power_fbl(eps, p_e, sigma2)``.
     """
 
     p_asym: float | DomainError
-    rate_at_asym: tuple[float, int] | UnsatisfiableError | None
+    rate_at_asym: tuple[float, bool] | UnsatisfiableError | None
     best: tuple[float, float] | Exception
 
 
@@ -676,7 +677,7 @@ def _search(probe: _RateProbe, p_asym: list) -> list[tuple]:
     asymptotic optimum (or its error) is ``p_asym``; see
     :func:`_optimal_powers`."""
     count = len(p_asym)
-    errors: list = [None] * count
+    cells: list = [None] * count  # each row's error, then its result
     failed = np.zeros(count, dtype=bool)
 
     def probe_at(rows, x):
@@ -686,7 +687,7 @@ def _search(probe: _RateProbe, p_asym: list) -> list[tuple]:
         for k in np.flatnonzero(overflow).tolist():
             row = int(rows[k])
             if not failed[row]:
-                errors[row], failed[row] = probe.error(row, a[k]), True
+                cells[row], failed[row] = probe.error(row, a[k]), True
         return rate
 
     # The 32-point pre-scan in ln(p_t) over [1e-6 p_e, p_e], and its winner.
@@ -695,6 +696,8 @@ def _search(probe: _RateProbe, p_asym: list) -> list[tuple]:
     grid = lo[:, None] + (hi - lo)[:, None] * np.arange(32) / 31.0
     everyone = np.arange(count)
     scans = probe_at(np.tile(everyone, 32), grid.T.ravel()).reshape(32, count)
+    # idx is the winner's first grid index, as grid.index(best_x) finds it:
+    # a later equal x has the same rate and does not win.
     best_rate, best_x, idx = scans[0], grid[:, 0], np.zeros(count, dtype=int)
     for j in range(1, 32):
         won = _better(scans[j], grid[:, j], best_rate, best_x)
@@ -702,7 +705,7 @@ def _search(probe: _RateProbe, p_asym: list) -> list[tuple]:
         best_x = np.where(won, grid[:, j], best_x)
         idx = np.where(won, j, idx)
     for row in np.flatnonzero(~failed & (best_rate <= 0.0)).tolist():
-        errors[row], failed[row] = SearchError("rate is zero over the whole power bracket"), True
+        cells[row], failed[row] = SearchError("rate is zero over the whole power bracket"), True
 
     # Golden-section refinement around each pre-scan winner.
     a_x = grid[everyone, np.maximum(idx - 1, 0)]
@@ -737,25 +740,32 @@ def _search(probe: _RateProbe, p_asym: list) -> list[tuple]:
     at_asym: list = [None] * count
     for row in np.flatnonzero(~failed).tolist():
         if isinstance(p_asym[row], DomainError):
-            errors[row], failed[row] = p_asym[row], True
+            cells[row], failed[row] = p_asym[row], True
     rows = np.flatnonzero(~failed)
     pa = np.array([p_asym[row] for row in rows.tolist()], dtype=float)
     rate, m, a, overflow = probe(rows, pa)
     pe = probe.p_e[rows]
     inside = (1e-6 * pe <= pa) & (pa <= pe)
     for k, row in enumerate(rows.tolist()):
-        at_asym[row] = probe.error(row, a[k]) if overflow[k] else (float(rate[k]), int(m[k]))
-        if overflow[k] and inside[k]:
-            errors[row] = at_asym[row]
+        if overflow[k]:
+            at_asym[row] = probe.error(row, a[k])
+            if inside[k]:
+                cells[row] = at_asym[row]
+        else:
+            # The plan meets its harvest floor by construction, so it is
+            # feasible where n is within the energy cap.
+            n, eps = probe.n[row], probe.epsilon[row]
+            feasible = transmit_len_within_energy_cap(n, int(m[k]), float(a[k]), eps)
+            at_asym[row] = float(rate[k]), feasible
     rate_star, x_star = f1[rows], x1[rows]
     for r, x, use in ((f2[rows], x2[rows], True), (best_rate[rows], best_x[rows], True),
                       (rate, _libm(math.log, np.where(inside, pa, 1.0)), inside)):
         won = use & _better(r, x, rate_star, x_star)
         rate_star, x_star = np.where(won, r, rate_star), np.where(won, x, x_star)
     for row, p_t, r in zip(rows.tolist(), _libm(math.exp, x_star).tolist(), rate_star.tolist()):
-        if errors[row] is None:
-            errors[row] = (p_t, r)
-    return list(zip(errors, at_asym))
+        if cells[row] is None:
+            cells[row] = (p_t, r)
+    return list(zip(cells, at_asym))
 
 
 def optimal_power_fbl(epsilon: float, p_e: float, sigma2: float = 1.0) -> tuple[float, float]:
