@@ -572,6 +572,19 @@ def test_batched_search_matches_scalar_reference(rows, sigma2):
         )
 
 
+def test_batched_search_matches_scalar_reference_on_a_random_batch():
+    # one batch of 300 log-uniform rows: a last-bit slip in any probe's exp,
+    # log1p or arithmetic moves some row's result
+    rng = np.random.default_rng(22)
+    eps = (10.0 ** rng.uniform(-6.0, math.log10(0.9), 300)).tolist()
+    p_e = (10.0 ** rng.uniform(-1.0, 8.0, 300)).tolist()
+    for sigma2 in (1.0, 0.3):
+        for e, pe, row in zip(eps, p_e, single_pb._optimal_powers(eps, p_e, sigma2)):
+            assert _outcome(lambda: single_pb._unwrap(row.best)) == _outcome(
+                lambda: _scalar_search(e, pe, sigma2)
+            )
+
+
 def test_link_params_validation():
     with pytest.raises(DomainError):
         LinkParams(p_t=-1.0, p_e=1.0)
