@@ -838,10 +838,6 @@ RATE_COLUMNS = {"rate_bits", "rate_bits_asymptotic", "rate_bits_at_pt_asym", "ra
 COUNT_MINIMA = {"m": 0, "n": 2, "n_min": 2, "m_min": 0, "total": 2}
 
 
-def _flag_key(flag):
-    return flag.lstrip("-").replace("-", "_")
-
-
 @st.composite
 def contract_argv(draw):
     """(argv, config file text or None) of one draw: a bare command, or one of
@@ -864,7 +860,7 @@ def contract_argv(draw):
     config = []
     for flag, value in settings_:
         if draw(st.integers(0, 4)) == 0:
-            config.append(f"{_flag_key(flag)} = {value}")
+            config.append(f"{flag.lstrip('-').replace('-', '_')} = {value}")
         else:
             argv.append(f"{flag}={value}")
     if draw(st.booleans()):
