@@ -244,14 +244,23 @@ def _finalize(args) -> None:
 
 # ------------------------------------------------------ parameter plumbing
 #
-# A command runs in two steps: a per-sweep prepare step resolves the flags
-# that the sweep leaves alone, checks them and picks the mode, and returns
-# the per-row evaluator. A row evaluates its checks in one fixed order, so
-# prepare does only the leading part of that order that no row can change:
-# any error it raises is the one the first row would raise. The rest runs
-# per row, through the same public functions as a single row.
+# A command evaluates one row for the flags, or one row per sweep value, in
+# grid order, and any row's error aborts it. A row evaluates its checks in
+# one fixed order, so the error of a sweep is that of its first failing row.
+#
+# Single mode evaluates the whole grid as one NumPy batch (see _batch) with
+# the bits of the one-row command, a row with no sweep being a batch of one.
+# Multi mode runs in two steps: a per-sweep prepare step resolves the flags
+# that the sweep leaves alone, checks them and returns the per-row
+# evaluator. Prepare does only the leading part of a row's checks that no
+# row can change: any error it raises is the one the first row would raise.
+# The rest runs per row, through the same public functions as a single row.
 
 _FIELD_DESTS = ("pt", "density", "ppb", "mu", "eta")
+
+# Counts up to 2**53 are exact as doubles, so that a batch's double
+# arithmetic on them gives the bits of the scalar path's integer arithmetic.
+_EXACT_COUNT = 2.0 ** 53
 
 
 def _check_given_powers(p_t, p_e) -> None:
@@ -317,19 +326,6 @@ def _resolve_single(args) -> tuple[float, float, float]:
     return _power_point(args.a, args.pt, args.pe)
 
 
-def _single_power(args, dest):
-    """Row flags -> (a, p_t, p_e). Resolved once here where the sweep leaves
-    -a, --pt and --pe alone; with -a swept, the given --pt/--pe are checked
-    once here. Call it only where resolving is the next check of a row."""
-    if dest in ("pt", "pe"):
-        return _resolve_single
-    _check_given_powers(args.pt, args.pe)
-    if dest == "a":
-        return lambda ns: _power_point(ns.a, args.pt, args.pe)
-    point = _power_point(args.a, args.pt, args.pe)
-    return lambda ns: point
-
-
 def _resolve_multi(args) -> tuple[float, multi_pb.NetworkParams]:
     """(p_t, beacon field) of multi mode."""
     if args.pt is None:
@@ -363,28 +359,146 @@ def _mc_cfg(args) -> montecarlo.McConfig:
     return montecarlo.McConfig(trials=args.mc_trials, seed=args.seed)
 
 
+def _per_row(args, dest, point):
+    """(lead cells, value columns) of the rows of ``point(ns) -> (lead cells,
+    value cells)``, evaluated on one copy of the flags per row with the swept
+    field ``dest`` set to each grid value in turn."""
+    if dest is None:
+        lead, cells = point(args)
+        return lead, [[cell] for cell in cells]
+    ns = argparse.Namespace(**vars(args))
+    rows = []
+    for value in _swept(dest, args.sweep.grid):
+        setattr(ns, dest, value)
+        rows.append(point(ns)[1])
+    return None, list(zip(*rows))
+
+
+# ------------------------------------------------------- single-mode batches
+#
+# A batch evaluates every row's checks as vector masks and every row's cells
+# with the scalar path's IEEE operations in its order: +, -, *, /, sqrt and
+# ceil in NumPy float64, exp and log1p from libm (single_pb._libm). A row
+# that a mask flags runs its one-row command instead (_pes_row, _rate_row,
+# _plan_row), whose checks raise its error. A mask may flag a row that
+# passes, which then gets the one-row command's cells, but it never passes
+# a row that fails.
+
+
+def _row_flags(args, dest):
+    """(count, flag) of a single-mode batch: its number of rows, and
+    ``flag(key)``, the flag ``key``'s value in each row as a float array, or
+    None where it is not given. A swept count takes its rounded values."""
+    swept = [None] if dest is None else _swept(dest, args.sweep.grid)
+    count = len(swept)
+
+    def flag(key):
+        if key == dest:
+            return np.array(swept, dtype=float)
+        value = getattr(args, key)
+        return None if value is None else np.full(count, value, dtype=float)
+
+    return count, flag
+
+
+def _counts_ok(counts, minimum: int, even: bool = False) -> np.ndarray:
+    """Where the counts are at least ``minimum`` and exact as doubles, and
+    even where ``even``."""
+    ok = (counts >= minimum) & (counts <= _EXACT_COUNT)
+    return ok & (counts % 2.0 == 0.0) if even else ok
+
+
+def _power_rows(flag, count: int):
+    """(a, p_t, p_e, ok): each row's powers as :func:`_resolve_single` gives
+    them, and where they resolve with no error to a finite a >= 0, a finite
+    p_t >= 0 and a finite p_e > 0. Elsewhere the powers are meaningless."""
+    a, p_t, p_e = flag("a"), flag("pt"), flag("pe")
+    ok = np.ones(count, dtype=bool)
+    with np.errstate(all="ignore"):
+        if a is None:
+            if p_t is None or p_e is None:
+                nothing = np.zeros(count)
+                return nothing, nothing, nothing, ~ok
+            a = p_t / p_e
+        elif p_t is None and p_e is None:
+            p_t, p_e = a, np.ones(count)
+        elif p_e is None:
+            p_e = p_t / a
+        elif p_t is None:
+            p_t = a * p_e
+        else:
+            ratio = p_t / p_e
+            ok = (ratio == a) | (
+                np.isfinite(a) & (np.abs(ratio - a) <= 1e-9 * np.maximum(np.abs(a), 1.0))
+            )
+        ok &= (a >= 0.0) & (a < math.inf) & (p_t >= 0.0) & (p_t < math.inf)
+        ok &= (p_e > 0.0) & (p_e < math.inf)
+    return a, p_t, p_e, ok
+
+
+def _frames(dest, sigma2: float, eps: np.ndarray, n):
+    """(probe, frame, n, ok) of a batch's (eps, n) frames, n being -n (None
+    where not given) or else the shortest for eps: a
+    :class:`single_pb._RateProbe` over the frames, each row's frame and n,
+    and where eps lies in (0, 1) and n is even. One frame serves every row
+    unless eps or n is swept; a row that fails gets a stand-in frame, so
+    that building the probe raises nothing."""
+    ok = (eps > 0.0) & (eps < 1.0)
+    if n is not None:
+        ok &= _counts_ok(n, 2, even=True)
+        n = np.where(ok, n, 2.0)
+    eps = np.where(ok, eps, 0.5)
+    per_row = dest == "eps" or (dest == "n" and n is not None)
+    frame = np.arange(eps.size) if per_row else np.zeros(eps.size, dtype=int)
+    frame_eps = eps[: eps.size if per_row else 1].tolist()
+    if n is None:
+        frame_n = list(map(single_pb.min_transmit_blocklength, frame_eps))
+    else:
+        frame_n = n[: len(frame_eps)].tolist()
+    probe = single_pb._RateProbe(frame_eps, None, sigma2, frame_n)
+    return probe, frame, probe.n_f[frame], ok
+
+
+def _batch(args, dest, ok, lead, columns, row):
+    """(lead cells, value columns) of a single-mode batch, for :func:`_run`.
+
+    ``columns`` hold the batch's value cells of every row, ``lead()`` gives
+    the lead cells of a batch of one, and ``ok`` marks the rows whose cells
+    the batch vouches for. Each other row runs ``row(ns) -> (lead cells,
+    value cells)``, its one-row command, in grid order."""
+    columns = [column.tolist() if isinstance(column, np.ndarray) else column
+               for column in columns]
+    flagged = np.flatnonzero(~ok).tolist()
+    if dest is None:
+        return _per_row(args, None, row) if flagged else (lead(), columns)
+    if flagged:
+        swept = _swept(dest, args.sweep.grid)
+        ns = argparse.Namespace(**vars(args))
+        for i in flagged:
+            setattr(ns, dest, swept[i])
+            for column, cell in zip(columns, row(ns)[1]):
+                column[i] = cell
+    return None, columns
+
+
 # ------------------------------------------------------------- subcommands
 
 
 def _run(args, prepare, lead: list[str], values: list[str]) -> int:
     """Emit one row of (lead cells, value cells) for the flags, or one row per
     sweep value, in which the grid value replaces the lead cells.
-    ``prepare(args, dest)`` returns the row evaluator for the swept field
-    ``dest`` (None without a sweep); a sweep sets that field of one copy of
-    the flags per row, in grid order, and any row's error aborts."""
+    ``prepare(args, dest)`` returns the lead cells (of a row with no sweep)
+    and the value columns of the rows, in grid order, for the swept field
+    ``dest`` (None without a sweep)."""
     sweep = args.sweep
+    dest = None if sweep is None else _CONFIG_KEYS[sweep.variable][0]
+    lead_cells, columns = prepare(args, dest)
     if sweep is None:
-        lead_cells, cells = prepare(args, None)(args)
-        _emit(lead + values, [(*lead_cells, *cells)], args.out)
-        return 0
-    dest = _CONFIG_KEYS[sweep.variable][0]
-    point = prepare(args, dest)
-    ns = argparse.Namespace(**vars(args))
-    rows = []
-    for value, row_value in zip(sweep.grid, _swept(dest, sweep.grid)):
-        setattr(ns, dest, row_value)
-        rows.append((value, *point(ns)[1]))
-    _emit([sweep.variable] + values, rows, args.out)
+        header, rows = lead + values, [(*lead_cells, *(column[0] for column in columns))]
+    else:
+        header, rows = [sweep.variable] + values, list(zip(sweep.grid, *columns))
+    del columns  # the rows hold the cells: no list of them outlives this
+    _emit(header, rows, args.out)
     return 0
 
 
@@ -395,19 +509,9 @@ def _power_column(args) -> str:
 def _pes_prepare(args, dest):
     if (args.m is None and dest != "m") or (args.n is None and dest != "n"):
         raise DomainError("pes needs -m and -n")
-    mc = args.mc_trials is not None
     if args.mode == "single":
-        power = _single_power(args, dest)
-
-        def point(ns) -> tuple[tuple, tuple]:
-            a, p_t, p_e = power(ns)
-            cells = (single_pb.energy_supply_prob(ns.m, ns.n, a),)
-            if mc:
-                est = montecarlo.estimate_supply_prob_single(ns.m, ns.n, p_t, p_e, _mc_cfg(ns))
-                cells += (est.mean, est.std_err)
-            return (ns.m, ns.n, a), cells
-
-        return point
+        return _pes_batch(args, dest)
+    mc = args.mc_trials is not None
     field = _field(args, dest)
     # An n sweep has one u, so one outage-series pass serves its whole grid;
     # the rows take its values in grid order.
@@ -427,7 +531,32 @@ def _pes_prepare(args, dest):
             cells += (est.mean, est.std_err)
         return (ns.m, ns.n, p_t), cells
 
-    return point_mp
+    return _per_row(args, dest, point_mp)
+
+
+def _pes_batch(args, dest):
+    """Single-mode pes: the supply exp(-(n/2) log1p(2a/m)) of every row. The
+    Monte Carlo columns are drawn row by row."""
+    count, flag = _row_flags(args, dest)
+    a, _, _, ok = _power_rows(flag, count)
+    m, n = flag("m"), flag("n")
+    ok &= _counts_ok(m, 1) & _counts_ok(n, 2, even=True)
+    with np.errstate(all="ignore"):
+        growth = single_pb._libm(math.log1p, np.where(ok, 2.0 * a / m, 0.0))
+    columns = [list(map(math.exp, (-(n / 2.0) * growth).tolist()))]
+    if args.mc_trials is not None:  # every row runs its one-row command
+        ok[:] = False
+        columns += [[None] * count, [None] * count]
+    return _batch(args, dest, ok, lambda: (args.m, args.n, a.item()), columns, _pes_row)
+
+
+def _pes_row(ns) -> tuple[tuple, tuple]:
+    a, p_t, p_e = _resolve_single(ns)
+    cells = (single_pb.energy_supply_prob(ns.m, ns.n, a),)
+    if ns.mc_trials is not None:
+        est = montecarlo.estimate_supply_prob_single(ns.m, ns.n, p_t, p_e, _mc_cfg(ns))
+        cells += (est.mean, est.std_err)
+    return (ns.m, ns.n, a), cells
 
 
 def cmd_pes(args) -> int:
@@ -438,26 +567,11 @@ def cmd_pes(args) -> int:
 def _rate_prepare(args, dest):
     if args.eps is None and dest != "eps":
         raise DomainError("rate needs --eps")
+    if args.mode == "single":
+        return _rate_batch(args, dest)
     frame = _frame(args, dest)
     # A swept eps can fail the frame check of a row before its powers are
     # resolved, so then they are resolved per row.
-    if args.mode == "single":
-        power = _resolve_single if dest == "eps" else _single_power(args, dest)
-
-        def point(ns) -> tuple[list, list]:
-            n = frame(ns)
-            a, p_t, p_e = power(ns)
-            # A given -n is held to the even-n rule whether or not -m is given
-            # too; BlocklengthPlan alone would round it up silently.
-            single_pb._check_even_n(n)
-            m = ns.m if ns.m is not None else planner.min_harvest_blocklength(n, a, ns.eps)
-            plan = single_pb.BlocklengthPlan(m, n, ns.eps)
-            link = single_pb.LinkParams(p_t=p_t, p_e=p_e, sigma2=ns.sigma2)
-            res = single_pb.achievable_rate_fbl(plan, link)
-            asym = single_pb.asymptotic_rate(link, ns.eps) / _LN2
-            return [m, n, a], [res.rate_bits if res.feasible else None, asym, res.feasible]
-
-        return point
     field = _resolve_multi if dest == "eps" else _field(args, dest)
 
     def point_mp(ns) -> tuple[list, list]:
@@ -469,7 +583,51 @@ def _rate_prepare(args, dest):
         res = multi_pb.achievable_rate_mp(plan, p_t, ns.sigma2, net)
         return [m, n, p_t], [res.rate_bits if res.feasible else None, None, res.feasible]
 
-    return point_mp
+    return _per_row(args, dest, point_mp)
+
+
+def _rate_batch(args, dest):
+    """Single-mode rate: the plan at -m, else the shortest harvest length,
+    its rate where feasible and the asymptotic rate, of every row. eps = 0,
+    which -m and -n admit, runs its one-row command."""
+    count, flag = _row_flags(args, dest)
+    a, p_t, p_e, ok = _power_rows(flag, count)
+    sigma2, m = args.sigma2, flag("m")
+    probe, frame, n, frame_ok = _frames(dest, sigma2, flag("eps"), flag("n"))
+    ok &= frame_ok
+    if m is None:
+        m, overflow = probe.harvest(frame, a)
+        ok &= ~overflow
+    else:
+        ok &= _counts_ok(m, 0)
+    with np.errstate(all="ignore"):
+        ok &= (sigma2 > 0.0) & (sigma2 < math.inf) & (p_t / sigma2 < math.inf)
+        # The link's power ratio p_t/p_e, which need not be a.
+        ratio = np.where(ok, p_t / p_e, 0.0)
+    p_t, m = np.where(ok, p_t, 0.0), np.where(ok, m, 1.0)
+    feasible = probe.feasible(frame, m, ratio).tolist()
+    rate = (probe.rate(frame, p_t, m) / _LN2).tolist()
+    columns = [
+        [r if f else None for r, f in zip(rate, feasible)],
+        probe.asymptotic(frame, p_t, ratio) / _LN2,
+        feasible,
+    ]
+    lead = lambda: (int(m.item()), int(n.item()), a.item())
+    return _batch(args, dest, ok, lead, columns, _rate_row)
+
+
+def _rate_row(ns) -> tuple[tuple, tuple]:
+    n = ns.n if ns.n is not None else single_pb.min_transmit_blocklength(ns.eps)
+    a, p_t, p_e = _resolve_single(ns)
+    # A given -n is held to the even-n rule whether or not -m is given too;
+    # BlocklengthPlan alone would round it up silently.
+    single_pb._check_even_n(n)
+    m = ns.m if ns.m is not None else planner.min_harvest_blocklength(n, a, ns.eps)
+    plan = single_pb.BlocklengthPlan(m, n, ns.eps)
+    link = single_pb.LinkParams(p_t=p_t, p_e=p_e, sigma2=ns.sigma2)
+    res = single_pb.achievable_rate_fbl(plan, link)
+    asym = single_pb.asymptotic_rate(link, ns.eps) / _LN2
+    return (m, n, a), (res.rate_bits if res.feasible else None, asym, res.feasible)
 
 
 def cmd_rate(args) -> int:
@@ -486,12 +644,12 @@ def _optpower_prepare(args, dest):
     # take its results in grid order. Any other sweep has one row to compute.
     if dest not in ("pe", "eps"):
         cells = next(_optpower_cells([args.eps], [args.pe], args.sigma2))
-        return lambda ns: ([], cells)
+        count = 1 if dest is None else len(args.sweep.grid)
+        return (), [[cell] * count for cell in cells]
     grid = args.sweep.grid
     eps = grid if dest == "eps" else [args.eps] * len(grid)
     p_e = grid if dest == "pe" else [args.pe] * len(grid)
-    cells = _optpower_cells(eps, p_e, args.sigma2)
-    return lambda ns: ([], next(cells))
+    return None, list(zip(*_optpower_cells(eps, p_e, args.sigma2)))
 
 
 def _optpower_cells(eps, p_e, sigma2):
@@ -528,21 +686,13 @@ def cmd_optpower(args) -> int:
 def _plan_prepare(args, dest):
     if args.eps is None and dest != "eps":
         raise DomainError("plan needs --eps")
+    if args.mode == "single":
+        return _plan_batch(args, dest)
     if dest == "eps":
         n_min = lambda ns: single_pb.min_transmit_blocklength(ns.eps)
     else:
         n_fixed = single_pb.min_transmit_blocklength(args.eps)
         n_min = lambda ns: n_fixed
-    if args.mode == "single":
-        power = _resolve_single if dest == "eps" else _single_power(args, dest)
-
-        def point(ns) -> tuple[list, list]:
-            n = n_min(ns)
-            a, _, _ = power(ns)
-            m = planner.min_harvest_blocklength(n, a, ns.eps)
-            return [], [n, m, planner.harvest_overhead(a, ns.eps), n + m]
-
-        return point
     field = _resolve_multi if dest == "eps" else _field(args, dest)
 
     def point_mp(ns) -> tuple[list, list]:
@@ -551,7 +701,32 @@ def _plan_prepare(args, dest):
         m = planner.min_harvest_blocklength_mp(n, p_t, net, ns.eps)
         return [], [n, m, None, n + m]
 
-    return point_mp
+    return _per_row(args, dest, point_mp)
+
+
+def _plan_batch(args, dest):
+    """Single-mode plan: the shortest n for eps, the shortest harvest length
+    for it, the overhead 1 + 2a/eps and the total of every row."""
+    count, flag = _row_flags(args, dest)
+    a, _, _, ok = _power_rows(flag, count)
+    eps = flag("eps")
+    probe, frame, n, frame_ok = _frames(dest, args.sigma2, eps, None)
+    ok &= frame_ok
+    m, overflow = probe.harvest(frame, a)
+    ok &= ~overflow
+    with np.errstate(all="ignore"):
+        overhead = 1.0 + 2.0 * a / eps
+    n = list(map(int, n.tolist()))
+    m = list(map(int, np.where(ok, m, 0.0).tolist()))
+    columns = [n, m, overhead, [j + k for j, k in zip(n, m)]]
+    return _batch(args, dest, ok, lambda: (), columns, _plan_row)
+
+
+def _plan_row(ns) -> tuple[tuple, tuple]:
+    n = single_pb.min_transmit_blocklength(ns.eps)
+    a = _resolve_single(ns)[0]
+    m = planner.min_harvest_blocklength(n, a, ns.eps)
+    return (), (n, m, planner.harvest_overhead(a, ns.eps), n + m)
 
 
 def cmd_plan(args) -> int:

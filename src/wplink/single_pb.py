@@ -557,21 +557,28 @@ def _search_checks(epsilon: float, p_e: float, sigma2: float) -> int:
 
 
 class _RateProbe:
-    """The rate that :func:`optimal_power_fbl` maximizes, for rows of (eps,
-    p_e) that share sigma2 and have passed :func:`_search_checks`: at p_t,
-    ``achievable_rate_fbl(BlocklengthPlan(min_harvest_blocklength(n, p_t/p_e,
-    eps), n, eps), LinkParams(p_t, p_e, sigma2)).rate_nats`` for the shortest
-    even n, bit for bit. n, the harvest floor's growth term and the penalty's
-    constants are taken once per row here.
+    """The single-beacon rate for rows of (eps, n) frames that share sigma2,
+    bit for bit, where eps lies in (0, 1), n is even and n and m are exact
+    as doubles (a planned m always is):
 
-    A call probes any rows at once, a row as often as it is listed, with the
-    scalar path's IEEE operations in its order: arithmetic, sqrt and ceil in
-    NumPy float64, log1p from libm.
+    - :meth:`harvest`: ``min_harvest_blocklength(n, a, eps)``;
+    - :meth:`rate`: ``achievable_rate_fbl(BlocklengthPlan(m, n, eps),
+      LinkParams(p_t, p_e, sigma2)).rate_nats``;
+    - :meth:`feasible`: that result's ``feasible`` at a = p_t/p_e;
+    - :meth:`asymptotic`: ``asymptotic_rate(LinkParams(p_t, p_e, sigma2), eps)``;
+    - a call: the rate that :func:`optimal_power_fbl` maximizes at p_t, for
+      frames of (eps, p_e) that have passed :func:`_search_checks`, each
+      with the shortest even n for its eps.
+
+    n, the harvest floor's growth term and the penalty's constants are taken
+    once per frame here. A method evaluates any rows at once, a frame as
+    often as it is listed, with the scalar path's IEEE operations in its
+    order: arithmetic, sqrt and ceil in NumPy float64, log1p from libm.
     """
 
-    def __init__(self, epsilon: list, p_e: list, sigma2: float, n: list[int]) -> None:
+    def __init__(self, epsilon: list, p_e: list | None, sigma2: float, n: list) -> None:
         self.epsilon, self.n, self.sigma2 = epsilon, n, sigma2
-        self.p_e = np.array(p_e, dtype=float)
+        self.p_e = None if p_e is None else np.array(p_e, dtype=float)
         self.growth = np.array(list(map(_floor_growth, n, epsilon)))
         eps = np.array(epsilon, dtype=float)
         with np.errstate(over="ignore"):
@@ -579,26 +586,64 @@ class _RateProbe:
         self.n_f = np.array(n, dtype=float)
         self.quarter = np.array([k ** 0.25 for k in n])
 
-    def __call__(self, rows: np.ndarray, p_t: np.ndarray):
-        """(rate, m, a, overflow) at the powers ``p_t`` of ``rows``: the
-        clamped rate in nats, the harvest length, the power ratio, and where
-        the harvest floor overflows, which :meth:`error` turns into that
-        row's error (its rate and m are then meaningless)."""
-        a = p_t / self.p_e[rows]
-        growth = self.growth[rows]
+    def harvest(self, rows: np.ndarray, a: np.ndarray):
+        """(m, overflow) at the power ratios ``a`` of ``rows``: the planned
+        harvest length, and where its floor overflows, which :meth:`error`
+        turns into that row's error (its m is then meaningless)."""
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            floor = _floors(a, self.growth[rows])
+        return np.ceil(floor), floor == np.inf
+
+    def rate(self, rows: np.ndarray, p_t: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """The clamped rate in nats of ``rows`` at the powers ``p_t`` and
+        harvest lengths ``m``."""
         n = self.n_f[rows]
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            floor = np.where(a == 0.0, 0.0, np.where(growth > 0.0, 2.0 * a / growth, np.inf))
-            m = np.ceil(floor)
             gamma = p_t / self.sigma2
             snr_frac = gamma / (gamma + 1.0)
             penalty = np.where(snr_frac == 0.0, 0.0, np.sqrt(self.scale[rows] * snr_frac * n))
             numer = n / 2.0 * _libm(math.log1p, gamma) - penalty - self.quarter[rows] - 1.0
             raw = numer / (n + m)
-        return np.where(raw < 0.0, 0.0, raw), m, a, floor == np.inf
+        return np.where(raw < 0.0, 0.0, raw)
+
+    def _half_log(self, rows: np.ndarray) -> np.ndarray:
+        """ln(1 + eps/2) of ``rows``."""
+        return _libm(math.log1p, 0.5 * np.array(self.epsilon, dtype=float))[rows]
+
+    def feasible(self, rows: np.ndarray, m: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """:func:`_operational_feasible` at the harvest lengths ``m`` and
+        power ratios ``a`` (p_t/p_e, finite or not) of ``rows``."""
+        floor_n = list(map(min_transmit_blocklength, self.epsilon))
+        floor_growth = np.array(list(map(_floor_growth, floor_n, self.epsilon)))[rows]
+        n = self.n_f[rows]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            growth = _libm(math.log1p, 2.0 * a / m)
+            within = (a == 0.0) | ((m != 0.0) & (
+                (growth == 0.0) | (n <= 2.0 * self._half_log(rows) / growth)))
+            return (m >= _floors(a, floor_growth)) & within
+
+    def asymptotic(self, rows: np.ndarray, p_t: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """:func:`asymptotic_rate` in nats at the powers ``p_t`` and power
+        ratios ``a`` (p_t/p_e) of ``rows``."""
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            prelog = 1.0 / (1.0 + a / self._half_log(rows))
+            return prelog * 0.5 * _libm(math.log1p, p_t / self.sigma2)
+
+    def __call__(self, rows: np.ndarray, p_t: np.ndarray):
+        """(rate, m, a, overflow) at the powers ``p_t`` of ``rows``: the
+        clamped rate in nats, the harvest length, the power ratio p_t/p_e,
+        and where the harvest floor overflows (see :meth:`harvest`)."""
+        a = p_t / self.p_e[rows]
+        m, overflow = self.harvest(rows, a)
+        return self.rate(rows, p_t, m), m, a, overflow
 
     def error(self, row: int, a) -> UnsatisfiableError:
         return _floor_overflow(self.n[row], float(a), self.epsilon[row])
+
+
+def _floors(a: np.ndarray, growth: np.ndarray) -> np.ndarray:
+    """:func:`_harvest_floor` of arrays."""
+    return np.where(a == 0.0, 0.0, np.where(growth > 0.0, 2.0 * a / growth, np.inf))
 
 
 class _PowerRow(NamedTuple):
