@@ -14,6 +14,7 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
@@ -935,6 +936,94 @@ def test_huge_monte_carlo_trial_count_is_one_error_line(capsys):
     code, out, err = run_cli(capsys, "pes", "-m", "100", "-n", "50", "-a", "0.1",
                              "--mc-trials", "1e300")
     assert code == 3 and out == "" and err.startswith("error: ")
+
+
+# Single-mode sweeps against their one-row commands: each flag absent,
+# ordinary or hostile, at the odds (absent, ordinary, hostile) of its row
+# here; each sweep variable between two ends of its pool, which holds values
+# inside and beyond the domain of its checks, so that a failing row can sit
+# anywhere in the grid.
+SINGLE_SWEEP_FLAGS = {
+    "-a": ((3, 2, 1), ["0.1", "0.3", "0", "2"], ["1e-300", "1e300", "-1", "nan", "inf"]),
+    "--pt": ((3, 2, 1), ["1", "0.12", "0.7", "0"], ["1e-300", "1e300", "-1", "inf"]),
+    "--pe": ((3, 2, 1), ["100", "7", "1"], ["1e-300", "1e300", "0", "-1", "inf"]),
+    "--sigma2": ((2, 2, 1), ["1", "0.5"], ["1e-300", "1e300", "0", "-1", "inf", "nan"]),
+    "--eps": ((1, 4, 1), ["0.05", "0.5", "0.01"], ["1e-300", "0", "1", "nan"]),
+    "-m": ((1, 4, 1), ["100", "1500"], ["0", "-1", "1e300"]),
+    "-n": ((1, 4, 1), ["50", "1000"], ["51", "0", "1e300"]),
+    "--mc-trials": ((8, 1, 1), ["20"], ["0"]),
+}
+SINGLE_SWEEP_ENDS = {
+    "a": ["-1", "0", "1e-300", "1e-3", "0.1", "10", "1e8", "4e8", "1e300", "1e308"],
+    "pt": ["-1", "0", "1e-320", "1e-3", "1", "1e3", "4e8", "1e300", "1e308"],
+    "pe": ["-1", "0", "1e-320", "1e-10", "1", "100", "1e297", "4e298", "1e308"],
+    "eps": ["-0.5", "0", "1e-300", "1e-3", "0.05", "0.5", "1", "1.5"],
+    "m": ["-2", "0", "1", "2", "100", "1e4", "1e16", "1e300"],
+    "n": ["-4", "0", "1", "2", "51", "1000", "1e16", "1e300"],
+}
+IGNORED_ENDS = ["-1", "0", "1", "1e3"]
+
+
+@st.composite
+def single_sweep(draw):
+    """(command, flags, sweep variable, sweep spec) of one draw."""
+    command = draw(st.sampled_from(["pes", "rate", "plan"]))
+    flags = {}
+    for flag, (odds, ordinary, hostile) in SINGLE_SWEEP_FLAGS.items():
+        kind = draw(st.integers(0, sum(odds) - 1))
+        if kind >= odds[0]:
+            flags[flag] = draw(st.sampled_from(ordinary if kind < odds[0] + odds[1] else hostile))
+    var = draw(st.sampled_from(cli._SWEEPABLE))
+    ends = sorted(SINGLE_SWEEP_ENDS.get(var, IGNORED_ENDS), key=float)
+    points = draw(st.sampled_from([1, 2, 3, 5, 7]))
+    i = draw(st.integers(0, len(ends) - 1 - (points > 1)))
+    j = i if points == 1 else draw(st.integers(i + 1, len(ends) - 1))
+    log = float(ends[i]) > 0.0 and draw(st.booleans())
+    return command, flags, var, f"{var}:{ends[i]}:{ends[j]}:{points}{':log' if log else ''}"
+
+
+def _flag_of(var):
+    return f"-{var}" if len(var) == 1 else f"--{var}"
+
+
+def _run_row_by_row(argv):
+    """_run_quietly(argv) with every row of a single-mode batch evaluated by
+    its one-row command's scalar checks and public functions."""
+    batch = cli._batch
+    cli._batch = lambda args, dest, ok, *rest: batch(args, dest, np.zeros_like(ok), *rest)
+    try:
+        return _run_quietly(argv)
+    finally:
+        cli._batch = batch
+
+
+@settings(max_examples=500, deadline=None)
+@given(draw=single_sweep())
+def test_single_sweep_rows_print_as_one_row_commands(draw):
+    # each row of a single-mode sweep prints the value cells of the one-row
+    # command at its grid value (a count rounded, as the sweep rounds it);
+    # where a row fails, the sweep prints the error line of its first
+    # failing row and nothing else. The batch prints the bytes of the
+    # scalar path, row by row.
+    command, flags, var, spec = draw
+    argv = [command] + [f"{flag}={value}" for flag, value in flags.items()]
+    code, out, err = _run_quietly(argv + [f"--sweep={spec}"])
+    assert (code, out, err) == _run_row_by_row(argv + [f"--sweep={spec}"]), (argv, spec)
+    dest = cli._CONFIG_KEYS[var][0]
+    values = cli._swept(dest, cli._parse_sweep(spec).grid)
+    lead = 0 if command == "plan" else 3
+    singles = []
+    for value in values:
+        one = [arg for arg in argv if not arg.startswith(_flag_of(var) + "=")]
+        text = str(value) if isinstance(value, int) else repr(value)
+        single = _run_quietly(one + [f"{_flag_of(var)}={text}"])
+        if single[0] != 0:
+            assert (code, out, err) == (single[0], "", single[2]), (argv, spec, value)
+            return
+        singles.append(rows(single[1])[1][0][lead:])
+    assert code == 0, (argv, spec, err)
+    header, body = rows(out)
+    assert header[0] == var and [row[1:] for row in body] == singles, (argv, spec)
 
 
 RATIO_COLLIDE = "flags collide: pt=1e+300 and pe=1e-300 give a=inf, but a must be finite"
