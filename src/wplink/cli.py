@@ -278,8 +278,8 @@ def _power_point(a, p_t, p_e) -> tuple[float, float, float]:
     finite pt/pe. A value derived from the flags must pass the check a given
     one does: p_t = a alone (at p_e = 1) or a*pe, and p_e = pt/a; a p_e or a
     ratio pt/pe that fails names the two flags. A negative or NaN a gets the
-    check of a itself: here, beside --pt alone, where a negative a would have
-    nothing to divide; later for the rest."""
+    check of a itself: here, beside --pt alone, where it would have nothing
+    to divide; later for the rest."""
     if a is None:
         if p_t is None or p_e is None:
             raise DomainError("single mode needs -a, or --pt together with --pe")
@@ -291,11 +291,11 @@ def _power_point(a, p_t, p_e) -> tuple[float, float, float]:
             single_pb._check_nonnegative("p_t", a, finite=True)
         return a, a, 1.0
     if p_e is None:
-        if a <= 0.0:
-            single_pb._check_nonnegative("power ratio a", a)  # a < 0 fails the check of a
+        if not a > 0.0:
+            single_pb._check_nonnegative("power ratio a", a)  # a < 0 or NaN fails the check of a
             raise DomainError("cannot infer --pe from --pt when a = 0")
         p_e = p_t / a
-        if a > 0.0 and not 0.0 < p_e < math.inf:  # a NaN a stays for its own check
+        if not 0.0 < p_e < math.inf:
             raise DomainError(
                 f"flags collide: pt={p_t!r} and a={a!r} give p_e={p_e!r}, but p_e must be"
                 " finite and > 0"

@@ -801,11 +801,13 @@ def test_derived_power_outside_double_range_is_one_error_line(capsys, argv, mess
     "a, message",
     [("-1", "power ratio a must be >= 0, got -1.0"),
      ("-1e300", "power ratio a must be >= 0, got -1e+300"),
-     ("0", "cannot infer --pe from --pt when a = 0")],
-    ids=["negative", "very-negative", "zero"],
+     ("0", "cannot infer --pe from --pt when a = 0"),
+     ("nan", "power ratio a must be >= 0, got nan")],
+    ids=["negative", "very-negative", "zero", "nan"],
 )
 def test_non_positive_ratio_beside_pt_alone_is_one_error_line(capsys, base, a, message):
-    # a negative a was answered "cannot infer --pe from --pt when a = 0"
+    # a negative a was answered "cannot infer --pe from --pt when a = 0", and
+    # rate answered a NaN a "p_e must be > 0, got nan", a value no flag gave
     code, out, err = run_cli(capsys, *base, "--pt", "1", f"-a={a}")
     assert (code, out, err) == (3, "", f"error: {message}\n")
 
