@@ -84,6 +84,12 @@ _TRIAL_BYTES = 64
 # measured 24.1 bytes per slot at n = 256 (one chunk) and 32.1 at n = 1000.
 _SYMBOL_BYTES = 33
 
+# Most trials (or field draws) one call may ask for, 244 141 blocks: it
+# bounds the block list before it is allocated. The single-beacon
+# estimator draws about 1e7 trials per second, so a call at the cap already
+# runs for minutes.
+_TRIALS_MAX = 10 ** 9
+
 # Beacons per fade chunk of _ppp_block. A chunk holds whole trials, so it is
 # one trial's beacons where a trial holds more; the chunk then costs 16
 # bytes per beacon (fades and owners) on top of the radii.
@@ -103,9 +109,18 @@ class McConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_count("trials", self.trials)
+        _check_trials("trials", self.trials)
         if not _check_count("seed", self.seed, 0) < 2 ** 64:
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+
+
+def _check_trials(name: str, value) -> int:
+    """A count of trials: a count (see ``_check_count``) of at most
+    :data:`_TRIALS_MAX`."""
+    value = _check_count(name, value)
+    if value > _TRIALS_MAX:
+        raise DomainError(f"{name} must be at most {_TRIALS_MAX:.0e}, got {value:.6g}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -388,7 +403,7 @@ def _ppp_block(
 
 def sample_ppp_energies(net: NetworkParams, cfg: McConfig, count: int) -> np.ndarray:
     """Batch of ``count`` per-slot harvested energy draws (deterministic)."""
-    count = _check_count("count", count)
+    count = _check_trials("count", count)
     return np.concatenate(_map_blocks(cfg.seed, count, *_field_harvest(net, count)))
 
 

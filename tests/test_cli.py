@@ -831,8 +831,6 @@ CONTRACT_FLAGS = {
     "--seed": ["0", "7"],
 }
 CONTRACT_HOSTILE = ["0", "1", "-1", "inf", "-inf", "nan", "1e300", "-1e300", "1e-300", "1e-320"]
-# A trial count of 1e300 is left to its own strict XFAIL below.
-CONTRACT_HOSTILE_TRIALS = [value for value in CONTRACT_HOSTILE if value != "1e300"]
 CONTRACT_ENDS = ["0", "1", "-1", "0.5", "2", "50", "2026", "inf", "-inf", "nan", "1e300",
                  "-1e308", "1e308", "1e-300", "1e-320"]
 # Columns whose cells are probabilities, rates or counts.
@@ -857,9 +855,8 @@ def contract_argv(draw):
     for flag, ordinary in CONTRACT_FLAGS.items():
         kind = draw(st.sampled_from(kinds))
         if kind != "absent":
-            hostile = CONTRACT_HOSTILE_TRIALS if flag == "--mc-trials" else CONTRACT_HOSTILE
             settings_.append((flag, draw(st.sampled_from(
-                ordinary if kind == "ordinary" else hostile))))
+                ordinary if kind == "ordinary" else CONTRACT_HOSTILE))))
     config = []
     for flag, value in settings_:
         if draw(st.integers(0, 4)) == 0:
@@ -930,8 +927,6 @@ def test_cli_contract_over_drawn_argv(draw):
             argv, config, err)
 
 
-@pytest.mark.xfail(raises=OverflowError, strict=True,
-                   reason="montecarlo._map_blocks lists one slot per block of trials")
 def test_huge_monte_carlo_trial_count_is_one_error_line(capsys):
     # 1e300 trials pass the count check (an integer within the double
     # range), then [None] * blocks raises a bare OverflowError

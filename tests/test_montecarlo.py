@@ -47,6 +47,17 @@ def test_config_validation():
         McConfig(trials=10 ** 400)
 
 
+def test_trial_count_above_the_cap_is_domain_error():
+    # 1e300 trials passed the count check, and the block map's list of one
+    # slot per block then raised a bare OverflowError
+    assert McConfig(trials=10 ** 9).trials == 10 ** 9
+    for trials in (10 ** 9 + 1, 10 ** 300):
+        with pytest.raises(DomainError, match="trials must be at most 1e[+]09"):
+            McConfig(trials=trials)
+    with pytest.raises(DomainError, match="count must be at most 1e[+]09, got 1e[+]300"):
+        sample_ppp_energies(NET, McConfig(trials=1), 10 ** 300)
+
+
 def test_same_seed_reproduces_bitwise():
     cfg = McConfig(trials=20_000, seed=42)
     a = estimate_supply_prob_single(50, 20, 0.2, 1.0, cfg)
