@@ -24,8 +24,11 @@ The corpus is built here, from this repository's ``bench/`` and
   small supplies), sweeps that fail in a middle row, sweeps with infinite
   ends or an overflowing span, ``optpower`` sweeps over p_e and eps (the
   SearchError region, p_e near the double range's ends, hostile
-  ``--sigma2``, an ignored variable), and seeded random argv over every
-  flag (absent, ordinary or hostile values, sweeps and config files).
+  ``--sigma2``, an ignored variable), single-mode ``pes``, ``rate`` and
+  ``plan`` sweeps that fail at each check in a middle row or deep in a grid
+  of 1e4 rows or more, ``rate`` sweeps whose feasibility flips, a Monte
+  Carlo trial count past the cap, and seeded random argv over every flag
+  (absent, ordinary or hostile values, sweeps and config files).
 
 Standard library only.
 """
@@ -178,6 +181,11 @@ def listed_argv() -> list[tuple[str, ...]]:
             ("rate", "-m", "100", "-n", "50", "--eps", "0.05", "--pt", "1", "-a", a),
             ("plan", "--eps", "0.05", "--pt", "1", "-a", a),
         ]
+    # A Monte Carlo trial count past the cap.
+    out += [
+        ("pes", "-m", "100", "-n", "50", "-a", "0.1", "--mc-trials", "1e300"),
+        ("validate", "--mc-trials", "1e300"),
+    ]
     # optpower sweeps: every row of a pe or eps sweep is one search.
     optpower = ("optpower", "--eps")
     out += [
@@ -201,6 +209,71 @@ def listed_argv() -> list[tuple[str, ...]]:
             (*optpower, "0.05", "--sigma2", sigma2, "--sweep", "pe:100:1e4:5:log"),
             (*optpower, "0.05", "--pe", "100", "--sigma2", sigma2),
         ]
+    return out + single_sweep_argv()
+
+
+def single_sweep_argv() -> list[tuple[str, ...]]:
+    """Single-mode pes, rate and plan sweeps: over each of a, pt, pe, eps, m
+    and n, failing at each check in a middle row where a grid can reach it
+    there (a count or a negative value fails first at the start), sweeps of
+    1e4 rows or more whose first failure lies deep in the grid, and rate
+    sweeps with -m or -n given whose feasibility flips inside the grid."""
+    pes, rate, plan = ("pes", "-m", "100", "-n", "50"), ("rate", "--eps", "0.05"), ("plan", "--eps", "0.05")
+    out = []
+    for head in (pes, rate, plan):
+        out += [
+            (*head, "--pe", "1e300", "--sweep", "a:0:4e8:5"),  # p_t = a*pe overflows
+            (*head, "--pt", "1e-300", "--sweep", "a:1:4e30:5"),  # p_e = pt/a underflows
+            (*head, "--pt", "1", "--pe", "1", "--sweep", "a:1:3:3"),  # a contradicts pt/pe
+            (*head, "--pe", "1e-300", "--sweep", "pt:0:4e8:5"),  # a = pt/pe overflows
+            (*head, "-a", "1e-300", "--sweep", "pt:1e-10:4e8:5"),  # p_e = pt/a overflows
+            (*head, "-a", "10", "--sweep", "pe:1:4e307:5"),  # p_t = a*pe overflows
+            (*head, "--pt", "1", "--sweep", "pe:-1:1:5"),
+            (*head, "--pe", "1", "--sweep", "a:-1:1:5"),
+            (*head, "--sweep", "a:0:1:5"),  # a = 0 first
+            (*head, "-a", "0.1", "--sweep", "eps:0.2:1.8:5"),
+            (*head, "-a", "0.1", "--sweep", "m:-2:2:5"),
+            (*head, "-a", "0.1", "--sweep", "m:1:1e300:5"),
+            (*head, "-a", "0.1", "--sweep", "n:-4:4:5"),
+            (*head, "-a", "0.1", "--sweep", "n:1:1e300:5"),
+            (*head, "--pt", "1e-300", "--mc-trials", "50", "--sweep", "a:1:4e30:5"),
+        ]
+    out += [
+        # the harvest floor overflows
+        (*rate, "--sweep", "a:1e300:1e308:5"),
+        (*plan, "--sweep", "a:1e300:1e308:5"),
+        (*rate, "--pe", "1e-10", "--sweep", "pt:1e280:4e298:5"),
+        (*plan, "--pe", "1e-10", "--sweep", "pt:1e280:4e298:5"),
+        # the SNR p_t/sigma2 overflows; eps fails in the frame, the harvest
+        # floor or the plan
+        (*rate, "--pe", "100", "--sigma2", "1e-300", "--sweep", "pt:1e-3:4e8:5"),
+        ("rate", "--pe", "100", "--pt", "0.12", "--sweep", "eps:0.2:1.8:5"),
+        ("rate", "-n", "50", "--pe", "100", "--pt", "0.12", "--sweep", "eps:0.2:1.8:5"),
+        ("rate", "-m", "100", "-n", "50", "--pe", "100", "--pt", "0.12", "--sweep", "eps:0:1.5:4"),
+        ("rate", "-m", "100", "-n", "50", "-a", "0", "--sweep", "eps:-0.5:0.5:5"),
+        ("plan", "-a", "1e300", "--sweep", "eps:1e-3:0.9:5"),
+        # an odd -n, and counts past 2**53
+        (*rate, "-n", "51", "--pe", "100", "--sweep", "pt:0.1:10:3"),
+        (*rate, "-m", "9007199254740993", "-n", "50", "--pe", "100", "--sweep", "pt:0.1:10:3"),
+        (*rate, "-m", "100", "--pe", "100", "--pt", "1", "--sweep", "n:9007199254740990:1e17:3"),
+        # the first failure deep in a grid of 1e4 rows or more
+        (*plan, "--sweep", "a:1e290:1e308:20000:log"),
+        (*pes, "--pe", "1e300", "--sweep", "a:1:1e9:20000:log"),
+        (*pes, "-a", "10", "--sweep", "pe:1:1e308:10000:log"),
+        (*rate, "--pe", "100", "--sigma2", "1e-300", "--sweep", "pt:1e-3:1e9:20000:log"),
+        (*rate, "--pe", "1e-10", "--sweep", "pt:1e270:1e300:10000:log"),
+        ("rate", "--pe", "100", "--pt", "0.12", "--sweep", "eps:1e-6:2:10000"),
+        ("plan", "-a", "0.1", "--sweep", "eps:1e-6:2:10000"),
+        # -m or -n given, and the feasibility flipping inside the grid
+        ("rate", "-m", "1000", "--eps", "0.05", "--pe", "100", "--sweep", "pt:0.01:100:50:log"),
+        ("rate", "-n", "4000", "--eps", "0.05", "--pe", "100", "--sweep", "pt:0.01:100:50:log"),
+        ("rate", "-m", "1000", "-n", "2026", "--eps", "0.05", "--sweep", "a:1e-4:10:50:log"),
+        ("rate", "-m", "5000", "-n", "2000", "--pe", "100", "--pt", "1", "--sweep", "eps:0.01:0.9:40:log"),
+        ("rate", "-m", "1000", "--eps", "0.05", "--pe", "100", "--pt", "0.12", "--sweep", "n:2:10000:50"),
+        ("rate", "-m", "2000", "--eps", "0.05", "--pe", "100", "--pt", "1", "--sweep", "n:2:20000:60"),
+        ("rate", "-m", "3000", "--eps", "0.05", "--pe", "100", "--sigma2", "0.5",
+         "--sweep", "pt:1e-4:50:2000:log"),
+    ]
     return out
 
 
