@@ -543,7 +543,7 @@ def _pes_batch(args, dest):
     ok &= _counts_ok(m, 1) & _counts_ok(n, 2, even=True)
     with np.errstate(all="ignore"):
         growth = single_pb._libm(math.log1p, np.where(ok, 2.0 * a / m, 0.0))
-    columns = [list(map(math.exp, (-(n / 2.0) * growth).tolist()))]
+        columns = [single_pb._libm(math.exp, -(n / 2.0) * growth)]
     if args.mc_trials is not None:  # every row runs its one-row command
         ok[:] = False
         columns += [[None] * count, [None] * count]

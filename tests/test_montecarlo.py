@@ -45,9 +45,6 @@ def test_config_validation():
         McConfig(trials=100, seed=-1)
     with pytest.raises(DomainError, match="within the double range"):
         McConfig(trials=10 ** 400)
-
-
-def test_trial_count_above_the_cap_is_domain_error():
     # 1e300 trials passed the count check, and the block map's list of one
     # slot per block then raised a bare OverflowError
     assert McConfig(trials=10 ** 9).trials == 10 ** 9
