@@ -258,8 +258,9 @@ def _finalize(args) -> None:
 
 _FIELD_DESTS = ("pt", "density", "ppb", "mu", "eta")
 
-# Counts up to 2**53 are exact as doubles, so that a batch's double
+# Counts below 2**53 are exact as doubles, so that a batch's double
 # arithmetic on them gives the bits of the scalar path's integer arithmetic.
+# 2**53 itself is not: the odd 2**53 + 1 rounds to it.
 _EXACT_COUNT = 2.0 ** 53
 
 
@@ -402,9 +403,11 @@ def _row_flags(args, dest):
 
 
 def _counts_ok(counts, minimum: int, even: bool = False) -> np.ndarray:
-    """Where the counts are at least ``minimum`` and exact as doubles, and
-    even where ``even``."""
-    ok = (counts >= minimum) & (counts <= _EXACT_COUNT)
+    """Where the counts are at least ``minimum`` and below 2**53, so that
+    every count passed is exact, and even where ``even``. It must never be
+    looser than single_pb._check_count, or with ``even`` _check_even_n: a
+    count read as a double may already be rounded."""
+    ok = (counts >= minimum) & (counts < _EXACT_COUNT)
     return ok & (counts % 2.0 == 0.0) if even else ok
 
 

@@ -592,6 +592,25 @@ def test_out_of_range_input_is_one_error_line(capsys, argv, message):
     assert len(err.splitlines()) == 1 and err.startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize("command", [["pes", "-m", "100"], ["rate", "--eps", "0.05"]],
+                         ids=["pes", "rate"])
+def test_odd_n_past_2_53_is_one_error_line(capsys, command):
+    # the odd 2**53 + 1 rounds to the even 2**53 as a double, which a
+    # single-mode batch's count mask once took as exact: the row printed
+    code, out, err = run_cli(capsys, *command, "-n", str(2 ** 53 + 1), "-a", "0.1")
+    assert (code, out) == (3, "")
+    assert err == (
+        f"error: transmit blocklength n must be an even integer >= 2, got {2 ** 53 + 1}\n")
+
+
+def test_harvest_length_past_2_53_prints_exactly(capsys):
+    # a given -m of 2**53 + 1 printed as 2**53, its double
+    code, out, _ = run_cli(capsys, "rate", "-m", str(2 ** 53 + 1), "-n", "50",
+                           "--eps", "0.05", "-a", "0.1")
+    assert code == 0
+    assert out.splitlines()[1].startswith(f"{2 ** 53 + 1},50,0.1,")
+
+
 def test_optpower_harvest_floor_overflow_is_one_error_line(capsys):
     code, out, err = run_cli(capsys, "optpower", "--pe", "1e300", "--eps", "1e-300")
     assert code == 3

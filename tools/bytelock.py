@@ -256,6 +256,11 @@ def single_sweep_argv() -> list[tuple[str, ...]]:
         (*rate, "-n", "51", "--pe", "100", "--sweep", "pt:0.1:10:3"),
         (*rate, "-m", "9007199254740993", "-n", "50", "--pe", "100", "--sweep", "pt:0.1:10:3"),
         (*rate, "-m", "100", "--pe", "100", "--pt", "1", "--sweep", "n:9007199254740990:1e17:3"),
+        ("pes", "-m", "100", "-n", "9007199254740993", "-a", "0.1"),
+        ("pes", "-m", "100", "-n", "9007199254740992", "-a", "0.1"),
+        ("rate", "-n", "9007199254740993", "--eps", "0.05", "-a", "0.1"),
+        ("rate", "-m", "9007199254740993", "-n", "50", "--eps", "0.05", "-a", "0.1"),
+        ("rate", "-m", "9007199254740992", "-n", "50", "--eps", "0.05", "-a", "0.1"),
         # the first failure deep in a grid of 1e4 rows or more
         (*plan, "--sweep", "a:1e290:1e308:20000:log"),
         (*pes, "--pe", "1e300", "--sweep", "a:1:1e9:20000:log"),
