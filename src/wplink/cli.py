@@ -263,6 +263,9 @@ _FIELD_DESTS = ("pt", "density", "ppb", "mu", "eta")
 # 2**53 itself is not: the odd 2**53 + 1 rounds to it.
 _EXACT_COUNT = 2.0 ** 53
 
+# How far a given -a may lie from the ratio of a given --pt and --pe.
+_RATIO_TOL = 1e-9
+
 
 def _check_given_powers(p_t, p_e) -> None:
     """A given p_t or p_e (None where not given) must be finite."""
@@ -308,7 +311,9 @@ def _power_point(a, p_t, p_e) -> tuple[float, float, float]:
             single_pb._check_nonnegative("p_t", p_t, finite=True)
         return a, p_t, p_e
     ratio = p_t / p_e
-    if ratio != a and not (math.isfinite(a) and abs(ratio - a) <= 1e-9 * max(abs(a), 1.0)):
+    if ratio != a and not (
+        math.isfinite(a) and abs(ratio - a) <= _RATIO_TOL * max(abs(a), 1.0)
+    ):
         raise DomainError(f"inconsistent flags: a={a!r} but pt/pe={ratio!r}")
     if ratio == math.inf:
         raise _ratio_overflow(p_t, p_e)
@@ -414,7 +419,9 @@ def _counts_ok(counts, minimum: int, even: bool = False) -> np.ndarray:
 def _power_rows(flag, count: int):
     """(a, p_t, p_e, ok): each row's powers as :func:`_resolve_single` gives
     them, and where they resolve with no error to a finite a >= 0, a finite
-    p_t >= 0 and a finite p_e > 0. Elsewhere the powers are meaningless."""
+    p_t >= 0 and a finite p_e > 0. Elsewhere the powers are meaningless.
+    The mask must never be looser than :func:`_resolve_single` with the
+    checks of a itself."""
     a, p_t, p_e = flag("a"), flag("pt"), flag("pe")
     ok = np.ones(count, dtype=bool)
     with np.errstate(all="ignore"):
@@ -432,7 +439,7 @@ def _power_rows(flag, count: int):
         else:
             ratio = p_t / p_e
             ok = (ratio == a) | (
-                np.isfinite(a) & (np.abs(ratio - a) <= 1e-9 * np.maximum(np.abs(a), 1.0))
+                np.isfinite(a) & (np.abs(ratio - a) <= _RATIO_TOL * np.maximum(np.abs(a), 1.0))
             )
         ok &= (a >= 0.0) & (a < math.inf) & (p_t >= 0.0) & (p_t < math.inf)
         ok &= (p_e > 0.0) & (p_e < math.inf)
@@ -443,7 +450,8 @@ def _frames(dest, sigma2: float, eps: np.ndarray, n):
     """(probe, frame, n, ok) of a batch's (eps, n) frames, n being -n (None
     where not given) or else the shortest for eps: a
     :class:`single_pb._RateProbe` over the frames, each row's frame and n,
-    and where eps lies in (0, 1) and n is even. One frame serves every row
+    and where eps lies in (0, 1) and n is even (never looser than
+    single_pb._check_epsilon and _check_even_n). One frame serves every row
     unless eps or n is swept; a row that fails gets a stand-in frame, so
     that building the probe raises nothing."""
     ok = (eps > 0.0) & (eps < 1.0)
@@ -538,8 +546,10 @@ def _pes_prepare(args, dest):
 
 
 def _pes_batch(args, dest):
-    """Single-mode pes: the supply exp(-(n/2) log1p(2a/m)) of every row. The
-    Monte Carlo columns are drawn row by row."""
+    """Single-mode pes: the supply exp(-(n/2) log1p(2a/m)) of every row. With
+    the Monte Carlo columns, every row runs its one-row command."""
+    if args.mc_trials is not None:
+        return _per_row(args, dest, _pes_row)
     count, flag = _row_flags(args, dest)
     a, _, _, ok = _power_rows(flag, count)
     m, n = flag("m"), flag("n")
@@ -547,9 +557,6 @@ def _pes_batch(args, dest):
     with np.errstate(all="ignore"):
         growth = single_pb._libm(math.log1p, np.where(ok, 2.0 * a / m, 0.0))
         columns = [single_pb._libm(math.exp, -(n / 2.0) * growth)]
-    if args.mc_trials is not None:  # every row runs its one-row command
-        ok[:] = False
-        columns += [[None] * count, [None] * count]
     return _batch(args, dest, ok, lambda: (args.m, args.n, a.item()), columns, _pes_row)
 
 
