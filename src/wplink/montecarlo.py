@@ -119,7 +119,7 @@ def _check_trials(name: str, value) -> int:
     :data:`_TRIALS_MAX`."""
     value = _check_count(name, value)
     if value > _TRIALS_MAX:
-        raise DomainError(f"{name} must be at most {_TRIALS_MAX:.0e}, got {value:.6g}")
+        raise DomainError(f"{name} must be at most {_TRIALS_MAX:.0e}, got {value:.10g}")
     return value
 
 

@@ -48,8 +48,9 @@ def test_config_validation():
     # 1e300 trials passed the count check, and the block map's list of one
     # slot per block then raised a bare OverflowError
     assert McConfig(trials=10 ** 9).trials == 10 ** 9
-    for trials in (10 ** 9 + 1, 10 ** 300):
-        with pytest.raises(DomainError, match="trials must be at most 1e[+]09"):
+    # the trial count printed with 6 digits, as 1e+09, read as the cap itself
+    for trials, shown in ((10 ** 9 + 1, "1000000001"), (10 ** 300, "1e[+]300")):
+        with pytest.raises(DomainError, match=f"trials must be at most 1e[+]09, got {shown}$"):
             McConfig(trials=trials)
     with pytest.raises(DomainError, match="count must be at most 1e[+]09, got 1e[+]300"):
         sample_ppp_energies(NET, McConfig(trials=1), 10 ** 300)
