@@ -62,21 +62,19 @@ def _column_format(column) -> str:
     return "%d" if kinds == {int} else "%s"
 
 
-def _emit(header, rows, out_path) -> None:
+def _emit(header, columns, out_path) -> None:
+    """Write a table given as its columns, each in its own format."""
     # Plain joins are valid CSV here: no cell needs quoting, since cells are
     # numbers, true/false or empty, and every table has at least two columns,
     # so no row is a lone empty field (which csv.writer would write as "").
-    formats = [_column_format([row[j] for row in rows]) for j in range(len(header))]
-    if "%s" in formats:
-        rows = zip(*(
-            [_fmt(row[j]) for row in rows] if spec == "%s" else [row[j] for row in rows]
-            for j, spec in enumerate(formats)
-        ))
+    formats = list(map(_column_format, columns))
+    columns = [list(map(_fmt, column)) if spec == "%s" else column
+               for column, spec in zip(columns, formats)]
     line = ",".join(formats) + "\n"
 
     def write(stream):
         stream.write(",".join(header) + "\n")
-        stream.writelines(map(line.__mod__, map(tuple, rows)))
+        stream.writelines(map(line.__mod__, zip(*columns)))
 
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
@@ -247,16 +245,14 @@ def _finalize(args) -> None:
 # A command evaluates one row for the flags, or one row per sweep value, in
 # grid order, and any row's error aborts it. A row evaluates its checks in
 # one fixed order, so the error of a sweep is that of its first failing row.
+# A command's prepare step hands its table to _run as columns.
 #
 # Single mode evaluates the whole grid as one NumPy batch (see _batch) with
 # the bits of the one-row command, a row with no sweep being a batch of one.
-# Multi mode runs in two steps: a per-sweep prepare step resolves the flags
-# that the sweep leaves alone, checks them and returns the per-row
-# evaluator. Prepare does only the leading part of a row's checks that no
-# row can change: any error it raises is the one the first row would raise.
-# The rest runs per row, through the same public functions as a single row.
-
-_FIELD_DESTS = ("pt", "density", "ppb", "mu", "eta")
+# Multi mode runs its one-row command (_pes_row_mp, _rate_row_mp,
+# _plan_row_mp) on each row in turn, resolving and checking every flag per
+# row, through the same public functions as a command with no sweep; only a
+# field n sweep shares one outage-series pass among its rows.
 
 # Counts below 2**53 are exact as doubles, so that a batch's double
 # arithmetic on them gives the bits of the scalar path's integer arithmetic.
@@ -342,41 +338,22 @@ def _resolve_multi(args) -> tuple[float, multi_pb.NetworkParams]:
     return args.pt, net
 
 
-def _field(args, dest):
-    """Row flags -> (p_t, field), resolved once here where the sweep leaves
-    --pt and the field alone. Call it only where resolving is the next check
-    of a row."""
-    if dest in _FIELD_DESTS:
-        return _resolve_multi
-    field = _resolve_multi(args)
-    return lambda ns: field
-
-
-def _frame(args, dest):
-    """Row flags -> transmit blocklength: -n, else the shortest for --eps;
-    taken once here where the sweep leaves -n and --eps alone."""
-    if dest in ("n", "eps"):
-        return lambda ns: ns.n if ns.n is not None else single_pb.min_transmit_blocklength(ns.eps)
-    n = args.n if args.n is not None else single_pb.min_transmit_blocklength(args.eps)
-    return lambda ns: n
-
-
 def _mc_cfg(args) -> montecarlo.McConfig:
     return montecarlo.McConfig(trials=args.mc_trials, seed=args.seed)
 
 
-def _per_row(args, dest, point):
-    """(lead cells, value columns) of the rows of ``point(ns) -> (lead cells,
-    value cells)``, evaluated on one copy of the flags per row with the swept
-    field ``dest`` set to each grid value in turn."""
+def _per_row(args, dest, row):
+    """(lead cells, value columns) of the rows of a one-row command ``row(ns)
+    -> (lead cells, value cells)``, run on one copy of the flags per row with
+    the swept field ``dest`` set to each grid value in turn."""
     if dest is None:
-        lead, cells = point(args)
+        lead, cells = row(args)
         return lead, [[cell] for cell in cells]
     ns = argparse.Namespace(**vars(args))
     rows = []
     for value in _swept(dest, args.sweep.grid):
         setattr(ns, dest, value)
-        rows.append(point(ns)[1])
+        rows.append(row(ns)[1])
     return None, list(zip(*rows))
 
 
@@ -505,11 +482,10 @@ def _run(args, prepare, lead: list[str], values: list[str]) -> int:
     dest = None if sweep is None else _CONFIG_KEYS[sweep.variable][0]
     lead_cells, columns = prepare(args, dest)
     if sweep is None:
-        header, rows = lead + values, [(*lead_cells, *(column[0] for column in columns))]
+        header, columns = lead + values, [[cell] for cell in lead_cells] + columns
     else:
-        header, rows = [sweep.variable] + values, list(zip(sweep.grid, *columns))
-    del columns  # the rows hold the cells: no list of them outlives this
-    _emit(header, rows, args.out)
+        header, columns = [sweep.variable] + values, [sweep.grid] + columns
+    _emit(header, columns, args.out)
     return 0
 
 
@@ -522,27 +498,26 @@ def _pes_prepare(args, dest):
         raise DomainError("pes needs -m and -n")
     if args.mode == "single":
         return _pes_batch(args, dest)
-    mc = args.mc_trials is not None
-    field = _field(args, dest)
+    if dest != "n":
+        return _per_row(args, dest, _pes_row_mp)
     # An n sweep has one u, so one outage-series pass serves its whole grid;
     # the rows take its values in grid order.
-    supplies = None
-    if dest == "n":
-        grid = _swept("n", args.sweep.grid)
-        supplies = multi_pb._supply_probs_mp(args.m, grid, *field(args))
+    grid = _swept("n", args.sweep.grid)
+    supplies = multi_pb._supply_probs_mp(args.m, grid, *_resolve_multi(args))
+    return _per_row(args, dest, lambda ns: _pes_row_mp(ns, supplies))
 
-    def point_mp(ns) -> tuple[tuple, tuple]:
-        p_t, net = field(ns)
-        if supplies is None:
-            cells = (multi_pb.energy_supply_prob_mp(ns.m, ns.n, p_t, net),)
-        else:
-            cells = (next(supplies),)
-        if mc:
-            est = montecarlo.estimate_supply_prob_mp(ns.m, ns.n, p_t, net, _mc_cfg(ns))
-            cells += (est.mean, est.std_err)
-        return (ns.m, ns.n, p_t), cells
 
-    return _per_row(args, dest, point_mp)
+def _pes_row_mp(ns, supplies=None) -> tuple[tuple, tuple]:
+    """A multi-mode pes row; with ``supplies``, the supply is its next value."""
+    p_t, net = _resolve_multi(ns)
+    if supplies is None:
+        cells = (multi_pb.energy_supply_prob_mp(ns.m, ns.n, p_t, net),)
+    else:
+        cells = (next(supplies),)
+    if ns.mc_trials is not None:
+        est = montecarlo.estimate_supply_prob_mp(ns.m, ns.n, p_t, net, _mc_cfg(ns))
+        cells += (est.mean, est.std_err)
+    return (ns.m, ns.n, p_t), cells
 
 
 def _pes_batch(args, dest):
@@ -579,21 +554,17 @@ def _rate_prepare(args, dest):
         raise DomainError("rate needs --eps")
     if args.mode == "single":
         return _rate_batch(args, dest)
-    frame = _frame(args, dest)
-    # A swept eps can fail the frame check of a row before its powers are
-    # resolved, so then they are resolved per row.
-    field = _resolve_multi if dest == "eps" else _field(args, dest)
+    return _per_row(args, dest, _rate_row_mp)
 
-    def point_mp(ns) -> tuple[list, list]:
-        n = frame(ns)
-        p_t, net = field(ns)
-        single_pb._check_even_n(n)
-        m = ns.m if ns.m is not None else planner.min_harvest_blocklength_mp(n, p_t, net, ns.eps)
-        plan = single_pb.BlocklengthPlan(m, n, ns.eps)
-        res = multi_pb.achievable_rate_mp(plan, p_t, ns.sigma2, net)
-        return [m, n, p_t], [res.rate_bits if res.feasible else None, None, res.feasible]
 
-    return _per_row(args, dest, point_mp)
+def _rate_row_mp(ns) -> tuple[tuple, tuple]:
+    n = ns.n if ns.n is not None else single_pb.min_transmit_blocklength(ns.eps)
+    p_t, net = _resolve_multi(ns)
+    single_pb._check_even_n(n)
+    m = ns.m if ns.m is not None else planner.min_harvest_blocklength_mp(n, p_t, net, ns.eps)
+    plan = single_pb.BlocklengthPlan(m, n, ns.eps)
+    res = multi_pb.achievable_rate_mp(plan, p_t, ns.sigma2, net)
+    return (m, n, p_t), (res.rate_bits if res.feasible else None, None, res.feasible)
 
 
 def _rate_batch(args, dest):
@@ -698,20 +669,14 @@ def _plan_prepare(args, dest):
         raise DomainError("plan needs --eps")
     if args.mode == "single":
         return _plan_batch(args, dest)
-    if dest == "eps":
-        n_min = lambda ns: single_pb.min_transmit_blocklength(ns.eps)
-    else:
-        n_fixed = single_pb.min_transmit_blocklength(args.eps)
-        n_min = lambda ns: n_fixed
-    field = _resolve_multi if dest == "eps" else _field(args, dest)
+    return _per_row(args, dest, _plan_row_mp)
 
-    def point_mp(ns) -> tuple[list, list]:
-        n = n_min(ns)
-        p_t, net = field(ns)
-        m = planner.min_harvest_blocklength_mp(n, p_t, net, ns.eps)
-        return [], [n, m, None, n + m]
 
-    return _per_row(args, dest, point_mp)
+def _plan_row_mp(ns) -> tuple[tuple, tuple]:
+    n = single_pb.min_transmit_blocklength(ns.eps)
+    p_t, net = _resolve_multi(ns)
+    m = planner.min_harvest_blocklength_mp(n, p_t, net, ns.eps)
+    return (), (n, m, None, n + m)
 
 
 def _plan_batch(args, dest):
@@ -761,35 +726,34 @@ def _planned_rate_bits(n: int, a: float, link: single_pb.LinkParams, eps: float)
 
 def _figure_fig2():
     p_e, sigma2 = 100.0, 1.0
-    eps_list = (1e-3, 1e-2, 1e-1)
     grid = _log_grid(1e-4, 1.0, 61)
-    rows, series = [], []
-    for eps in eps_list:
+    columns, series = [[], [], []], []
+    for eps in (1e-3, 1e-2, 1e-1):
         n = single_pb.min_transmit_blocklength(eps)
         rates = []
         for a in grid:
             link = single_pb.LinkParams(p_t=a * p_e, p_e=p_e, sigma2=sigma2)
             rates.append(_planned_rate_bits(n, a, link, eps))
-        rows += [[eps, a, rate] for a, rate in zip(grid, rates)]
+        for column, cells in zip(columns, ([eps] * len(grid), grid, rates)):
+            column += cells
         series.append((f"eps={eps:g}", grid, rates))
     plot = dict(series=series, x_label="a", y_label="rate (bits/channel use)", log_x=True)
-    return ["eps", "a", "rate_bits"], rows, plot
+    return ["eps", "a", "rate_bits"], columns, plot
 
 
 def _figure_fig3():
     p_e, sigma2 = 1e3, 1.0
     pt_fixed = single_pb.optimal_power_asymptotic(p_e, sigma2, 1e-3)
     link_fixed = single_pb.LinkParams(p_t=pt_fixed, p_e=p_e, sigma2=sigma2)
-    rows = []
-    for eps in _log_grid(1e-4, 0.5, 41):
+    xs = _log_grid(1e-4, 0.5, 41)
+    fixed, adapted, asym = [], [], []
+    for eps in xs:
         n = single_pb.min_transmit_blocklength(eps)
         pt_ad = single_pb.optimal_power_asymptotic(p_e, sigma2, eps)
         link_ad = single_pb.LinkParams(p_t=pt_ad, p_e=p_e, sigma2=sigma2)
-        r_fixed = _planned_rate_bits(n, pt_fixed / p_e, link_fixed, eps)
-        r_ad = _planned_rate_bits(n, pt_ad / p_e, link_ad, eps)
-        r_asym = single_pb.asymptotic_rate(link_ad, eps) / _LN2
-        rows.append([eps, r_fixed, r_ad, r_asym])
-    xs, fixed, adapted, asym = zip(*rows)
+        fixed.append(_planned_rate_bits(n, pt_fixed / p_e, link_fixed, eps))
+        adapted.append(_planned_rate_bits(n, pt_ad / p_e, link_ad, eps))
+        asym.append(single_pb.asymptotic_rate(link_ad, eps) / _LN2)
     header = ["eps", "rate_bits_fixed_power", "rate_bits_adapted_power", "rate_bits_asymptotic"]
     plot = dict(
         series=[("fixed power", xs, fixed), ("adapted power", xs, adapted), ("asymptotic", xs, asym)],
@@ -797,20 +761,18 @@ def _figure_fig3():
         y_label="rate (bits/channel use)",
         log_x=True,
     )
-    return header, rows, plot
+    return header, [xs, fixed, adapted, asym], plot
 
 
 def _figure_optimal_power(ratio: bool):
     """fig4: both optimal powers against p_e at eps = 0.05; fig5 (``ratio``):
     the same scan as power ratios."""
-    grid = _log_grid(1e2, 1e4, 25)
-    rows = []
-    for p_e, row in zip(grid, single_pb._optimal_powers([0.05] * len(grid), grid, 1.0)):
-        pt_asym = single_pb._unwrap(row.p_asym)
-        pt_fbl, _ = single_pb._unwrap(row.best)
+    xs = _log_grid(1e2, 1e4, 25)
+    opt_asym, opt_fbl = [], []
+    for p_e, row in zip(xs, single_pb._optimal_powers([0.05] * len(xs), xs, 1.0)):
         scale = p_e if ratio else 1.0
-        rows.append([p_e, pt_asym / scale, pt_fbl / scale])
-    xs, opt_asym, opt_fbl = zip(*rows)
+        opt_asym.append(single_pb._unwrap(row.p_asym) / scale)
+        opt_fbl.append(single_pb._unwrap(row.best)[0] / scale)
     plot = dict(
         series=[("asymptotic", xs, opt_asym), ("finite frame", xs, opt_fbl)],
         x_label="pe",
@@ -818,52 +780,52 @@ def _figure_optimal_power(ratio: bool):
         log_x=True,
         log_y=not ratio,
     )
-    return ["pe", "a_asym", "a_fbl"] if ratio else ["pe", "pt_asym", "pt_fbl"], rows, plot
+    header = ["pe", "a_asym", "a_fbl"] if ratio else ["pe", "pt_asym", "pt_fbl"]
+    return header, [xs, opt_asym, opt_fbl], plot
 
 
 def _figure_fig6():
     lam0, p0 = 1e-3, 1e3
     m, n, p_t = 1500, 1000, 1.0
-    rows = []
-    for i in range(19):
-        k = 1.0 + 0.5 * i
+    ks = [1.0 + 0.5 * i for i in range(19)]
+    xs, dens, powr = [], [], []
+    for k in ks:
         net_d = multi_pb.NetworkParams(density=k * lam0, p_pb=p0)
         net_p = multi_pb.NetworkParams(density=lam0, p_pb=k * p0)
-        mean = multi_pb.mean_harvested(net_d)
-        s_d = multi_pb.energy_supply_prob_mp(m, n, p_t, net_d)
-        s_p = multi_pb.energy_supply_prob_mp(m, n, p_t, net_p)
-        rows.append([k, mean, s_d, s_p])
-    _, xs, dens, powr = zip(*rows)
+        xs.append(multi_pb.mean_harvested(net_d))
+        dens.append(multi_pb.energy_supply_prob_mp(m, n, p_t, net_d))
+        powr.append(multi_pb.energy_supply_prob_mp(m, n, p_t, net_p))
     header = ["k", "mean_harvested", "pes_density_scaled", "pes_power_scaled"]
     plot = dict(
         series=[("density scaled", xs, dens), ("power scaled", xs, powr)],
         x_label="mean harvested power",
         y_label="pes",
     )
-    return header, rows, plot
+    return header, [ks, xs, dens, powr], plot
 
 
 def _figure_fig7():
     eps, sigma2 = 0.05, 1.0
     net = multi_pb.NetworkParams(density=5e-3, p_pb=1e3)
-    rows = []
+    columns = [[], [], [], []]
     for n in (2026, 4052, 6078, 8104, 10130):
-        best = None
+        best = [n, None, None, None]
         for p_t in _log_grid(0.1, 100.0, 9):
             m = planner.min_harvest_blocklength_mp(n, p_t, net, eps)
             res = multi_pb.achievable_rate_mp(
                 single_pb.BlocklengthPlan(m, n, eps), p_t, sigma2, net
             )
-            if res.feasible and (best is None or res.rate_bits > best[3]):
+            if res.feasible and (best[3] is None or res.rate_bits > best[3]):
                 best = [n, p_t, m, res.rate_bits]
-        rows.append(best if best else [n, None, None, None])
-    ns, _, _, rates = zip(*rows)
+        for column, cell in zip(columns, best):
+            column.append(cell)
+    ns, _, _, rates = columns
     plot = dict(
         series=[("best scanned power", ns, rates)],
         x_label="n",
         y_label="rate (bits/channel use)",
     )
-    return ["n", "pt", "m", "rate_bits"], rows, plot
+    return ["n", "pt", "m", "rate_bits"], columns, plot
 
 
 _FIGURES = {
@@ -877,11 +839,11 @@ _FIGURES = {
 
 
 def cmd_figure(args) -> int:
-    header, rows, plot = _FIGURES[args.name]()
+    header, columns, plot = _FIGURES[args.name]()
     out_dir = args.out if args.out else "."
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"{args.name}.csv")
-    _emit(header, rows, csv_path)
+    _emit(header, columns, csv_path)
     print(csv_path)
     if args.svg:
         svg_path = os.path.join(out_dir, f"{args.name}.svg")

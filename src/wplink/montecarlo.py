@@ -253,8 +253,11 @@ def _supply_estimate(
 
     def block(rng: np.random.Generator, size: int, scratch: dict):
         energy = harvest(rng, size, scratch)
-        total = p_t * (2.0 * rng.standard_gamma(0.5 * n, size))
-        return int((total <= m * energy).sum()), energy if keep else None
+        # An energy past the double range is inf, which compares as it should.
+        with np.errstate(over="ignore"):
+            total = p_t * (2.0 * rng.standard_gamma(0.5 * n, size))
+            budget = m * energy
+        return int((total <= budget).sum()), energy if keep else None
 
     counts, energies = zip(*_map_blocks(cfg.seed, cfg.trials, block, harvest_bytes))
     p = sum(counts) / cfg.trials

@@ -437,10 +437,9 @@ def test_no_table_cell_needs_quoting(tmp_path, monkeypatch, capsys):
     tables = []
     real_emit = cli._emit
 
-    def spy(header, body, out_path):
-        body = list(body)
-        tables.append((list(header), [[cli._fmt(v) for v in row] for row in body]))
-        real_emit(header, body, out_path)
+    def spy(header, columns, out_path):
+        tables.append((list(header), [[cli._fmt(v) for v in row] for row in zip(*columns)]))
+        real_emit(header, columns, out_path)
 
     monkeypatch.setattr(cli, "_emit", spy)
     argvs = list(TABLES.values()) + [["figure", f, "--out", str(tmp_path)] for f in FIGURES]
@@ -1034,13 +1033,8 @@ def test_single_sweep_rows_print_as_one_row_commands(draw):
     # command at its grid value (a count rounded, as the sweep rounds it);
     # where a row fails, the sweep prints the error line of its first
     # failing row and nothing else. The batch gives the bits of the scalar
-    # path, row by row. A Monte Carlo row at a p_t near the top of
-    # the double range prints NumPy's overflow RuntimeWarning, once per
-    # process, which is a defect of the estimator and not of sweeps, so the
-    # runs here leave RuntimeWarnings out.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        _check_single_sweep(*draw)
+    # path, row by row.
+    _check_single_sweep(*draw)
 
 
 def _check_single_sweep(command, flags, var, spec):
@@ -1098,6 +1092,32 @@ def test_single_batch_cells_are_the_scalar_bits(argv):
     assert _prepared(argv) == by_row, argv
 
 
+def test_figures_are_their_commands_sweeps():
+    # each figure's columns are the cells that prepare hands to the table
+    # for the command sweep the figure draws, bit for bit
+    eps_column, a_column, rates = cli._FIGURES["fig2"]()[1]
+    a_sweep = "a:1e-4:1:61:log"
+    for k, eps in enumerate(["0.001", "0.01", "0.1"]):
+        rows = slice(61 * k, 61 * (k + 1))
+        _, columns = _prepared(["rate", "--pe=100", f"--eps={eps}", f"--sweep={a_sweep}"])
+        assert eps_column[rows] == [float(eps)] * 61, eps
+        assert a_column[rows] == list(cli._parse_sweep(a_sweep).grid), eps
+        assert rates[rows] == list(columns[0]), eps
+    pe_sweep = "pe:1e2:1e4:25:log"
+    _, (pt_asym, pt_fbl, a_asym, a_fbl, _, _) = _prepared(
+        ["optpower", "--eps=0.05", f"--sweep={pe_sweep}"])
+    pe_grid = cli._parse_sweep(pe_sweep).grid
+    assert cli._FIGURES["fig4"]()[1] == [pe_grid, list(pt_asym), list(pt_fbl)]
+    assert cli._FIGURES["fig5"]()[1] == [pe_grid, list(a_asym), list(a_fbl)]
+    eps_sweep = "eps:1e-4:0.5:41:log"
+    xs, fixed, adapted, _ = cli._FIGURES["fig3"]()[1]
+    p_t = single_pb.optimal_power_asymptotic(1e3, 1.0, 1e-3)
+    _, columns = _prepared(["rate", f"--pt={p_t!r}", "--pe=1000", f"--sweep={eps_sweep}"])
+    assert xs == cli._parse_sweep(eps_sweep).grid and fixed == list(columns[0])
+    _, columns = _prepared(["optpower", "--pe=1000", f"--sweep={eps_sweep}"])
+    assert adapted == list(columns[4])
+
+
 RATIO_COLLIDE = "flags collide: pt=1e+300 and pe=1e-300 give a=inf, but a must be finite"
 
 
@@ -1150,6 +1170,17 @@ def test_no_power_grid_cell_is_nan(capsys, grid):
         elif code != 3 or out or len(err.splitlines()) != 1 or not err.startswith("error:"):
             failures.append(f"{argv}: exit {code}, {err!r}")
     assert not failures, failures
+
+
+def test_monte_carlo_row_at_huge_power_prints_no_warning():
+    # the codeword energy overflows to inf, which the supply count takes as
+    # it should; NumPy's overflow RuntimeWarning reached stderr
+    argv = ["pes", "-m", "100", "-n", "50", "-a", "1e8", "--pe", "1e300", "--mc-trials", "50"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = _run_quietly(argv)
+    table = "m,n,a,pes,pes_mc,pes_mc_stderr\n100,50,100000000,2.98019498611e-158,0,0\n"
+    assert result == (0, table, "")
 
 
 def test_monte_carlo_output_is_deterministic(capsys):

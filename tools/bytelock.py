@@ -26,9 +26,12 @@ The corpus is built here, from this repository's ``bench/`` and
   SearchError region, p_e near the double range's ends, hostile
   ``--sigma2``, an ignored variable), single-mode ``pes``, ``rate`` and
   ``plan`` sweeps that fail at each check in a middle row or deep in a grid
-  of 1e4 rows or more, ``rate`` sweeps whose feasibility flips, a Monte
-  Carlo trial count past the cap, and seeded random argv over every flag
-  (absent, ordinary or hostile values, sweeps and config files).
+  of 1e4 rows or more, ``rate`` sweeps whose feasibility flips, multi-mode
+  ``pes``, ``rate`` and ``plan`` sweeps that fail in their first row at a
+  flag the sweep leaves alone or in a middle row, a Monte Carlo trial count
+  past the cap, a Monte Carlo row whose codeword energy overflows, and
+  seeded random argv over every flag (absent, ordinary or hostile values,
+  sweeps and config files).
 
 Standard library only.
 """
@@ -181,10 +184,28 @@ def listed_argv() -> list[tuple[str, ...]]:
             ("rate", "-m", "100", "-n", "50", "--eps", "0.05", "--pt", "1", "-a", a),
             ("plan", "--eps", "0.05", "--pt", "1", "-a", a),
         ]
-    # A Monte Carlo trial count past the cap.
+    # A Monte Carlo trial count past the cap, and a Monte Carlo row whose
+    # codeword energy overflows.
     out += [
         ("pes", "-m", "100", "-n", "50", "-a", "0.1", "--mc-trials", "1e300"),
         ("validate", "--mc-trials", "1e300"),
+        ("pes", "-m", "100", "-n", "50", "-a", "1e8", "--pe", "1e300", "--mc-trials", "50"),
+    ]
+    # Multi-mode sweeps that fail in their first row at a flag the sweep
+    # leaves alone (the frame before the field), or in a middle row.
+    rate, plan = ("rate", "--mode", "multi"), ("plan", "--mode", "multi")
+    out += [
+        (*rate, "--eps", "2", "--pt", "1", "--lambda", "0", "--ppb", "1e3", "--sweep", "m:100:300:3"),
+        (*rate, "-n", "51", "--eps", "0.05", "--pt", "1", "--lambda", "0", "--ppb", "1e3",
+         "--sweep", "m:1:3:3"),
+        (*rate, "-n", "50", "--pt", "1", *FIELD, "--sweep", "eps:0.5:1.5:3"),
+        (*rate, "--eps", "0.5", "-n", "50", *FIELD, "--sweep", "pt:-1:1:3"),
+        (*rate, "--eps", "0.5", "-n", "50", "--pt", "1", *FIELD, "--sweep", "mu:-1:1:3"),
+        ("pes", "--mode", "multi", "-m", "100", "--pt", "1", *FIELD, "--mu", "2", "--sweep", "n:2:6:3"),
+        ("pes", "--mode", "multi", "-n", "50", "--pt", "1", *FIELD, "--sweep", "m:-2:2:5"),
+        (*plan, "--pt", "1", *FIELD, "--sweep", "eps:0.5:1.5:3"),
+        (*plan, "--eps", "0.05", "--pt", "1", *FIELD, "--sweep", "eta:1:3:3"),
+        (*plan, "--eps", "0.05", "--lambda", "1e-3", "--sweep", "pt:1:2:2"),
     ]
     # optpower sweeps: every row of a pe or eps sweep is one search.
     optpower = ("optpower", "--eps")
