@@ -247,8 +247,9 @@ def _finalize(args) -> None:
 # one fixed order, so the error of a sweep is that of its first failing row.
 # A command's prepare step hands its table to _run as columns.
 #
-# Single mode evaluates the whole grid as one NumPy batch (see _batch) with
-# the bits of the one-row command, a row with no sweep being a batch of one.
+# Single mode evaluates a sweep's whole grid as one NumPy batch (see _batch)
+# with the bits of its one-row command (_pes_row, _rate_row, _plan_row),
+# which runs a row with no sweep.
 # Multi mode runs its one-row command (_pes_row_mp, _rate_row_mp,
 # _plan_row_mp) on each row in turn, resolving and checking every flag per
 # row, through the same public functions as a command with no sweep; only a
@@ -372,7 +373,7 @@ def _row_flags(args, dest):
     """(count, flag) of a single-mode batch: its number of rows, and
     ``flag(key)``, the flag ``key``'s value in each row as a float array, or
     None where it is not given. A swept count takes its rounded values."""
-    swept = [None] if dest is None else _swept(dest, args.sweep.grid)
+    swept = _swept(dest, args.sweep.grid)
     count = len(swept)
 
     def flag(key):
@@ -447,18 +448,16 @@ def _frames(dest, sigma2: float, eps: np.ndarray, n):
     return probe, frame, probe.n_f[frame], ok
 
 
-def _batch(args, dest, ok, lead, columns, row):
-    """(lead cells, value columns) of a single-mode batch, for :func:`_run`.
+def _batch(args, dest, ok, columns, row):
+    """(None, value columns) of a single-mode batch, for :func:`_run`.
 
-    ``columns`` hold the batch's value cells of every row, ``lead()`` gives
-    the lead cells of a batch of one, and ``ok`` marks the rows whose cells
-    the batch vouches for. Each other row runs ``row(ns) -> (lead cells,
-    value cells)``, its one-row command, in grid order."""
+    ``columns`` hold the batch's value cells of every row, and ``ok`` marks
+    the rows whose cells the batch vouches for. Each other row runs
+    ``row(ns) -> (lead cells, value cells)``, its one-row command, in grid
+    order."""
     columns = [column.tolist() if isinstance(column, np.ndarray) else column
                for column in columns]
     flagged = np.flatnonzero(~ok).tolist()
-    if dest is None:
-        return _per_row(args, None, row) if flagged else (lead(), columns)
     if flagged:
         swept = _swept(dest, args.sweep.grid)
         ns = argparse.Namespace(**vars(args))
@@ -497,6 +496,9 @@ def _pes_prepare(args, dest):
     if (args.m is None and dest != "m") or (args.n is None and dest != "n"):
         raise DomainError("pes needs -m and -n")
     if args.mode == "single":
+        # A row with no sweep, or with Monte Carlo columns, is drawn by itself.
+        if dest is None or args.mc_trials is not None:
+            return _per_row(args, dest, _pes_row)
         return _pes_batch(args, dest)
     if dest != "n":
         return _per_row(args, dest, _pes_row_mp)
@@ -521,10 +523,8 @@ def _pes_row_mp(ns, supplies=None) -> tuple[tuple, tuple]:
 
 
 def _pes_batch(args, dest):
-    """Single-mode pes: the supply exp(-(n/2) log1p(2a/m)) of every row. With
-    the Monte Carlo columns, every row runs its one-row command."""
-    if args.mc_trials is not None:
-        return _per_row(args, dest, _pes_row)
+    """Single-mode pes sweep: the supply exp(-(n/2) log1p(2a/m)) of every
+    row."""
     count, flag = _row_flags(args, dest)
     a, _, _, ok = _power_rows(flag, count)
     m, n = flag("m"), flag("n")
@@ -532,7 +532,7 @@ def _pes_batch(args, dest):
     with np.errstate(all="ignore"):
         growth = single_pb._libm(math.log1p, np.where(ok, 2.0 * a / m, 0.0))
         columns = [single_pb._libm(math.exp, -(n / 2.0) * growth)]
-    return _batch(args, dest, ok, lambda: (args.m, args.n, a.item()), columns, _pes_row)
+    return _batch(args, dest, ok, columns, _pes_row)
 
 
 def _pes_row(ns) -> tuple[tuple, tuple]:
@@ -553,7 +553,7 @@ def _rate_prepare(args, dest):
     if args.eps is None and dest != "eps":
         raise DomainError("rate needs --eps")
     if args.mode == "single":
-        return _rate_batch(args, dest)
+        return _per_row(args, None, _rate_row) if dest is None else _rate_batch(args, dest)
     return _per_row(args, dest, _rate_row_mp)
 
 
@@ -568,13 +568,13 @@ def _rate_row_mp(ns) -> tuple[tuple, tuple]:
 
 
 def _rate_batch(args, dest):
-    """Single-mode rate: the plan at -m, else the shortest harvest length,
-    its rate where feasible and the asymptotic rate, of every row. eps = 0,
-    which -m and -n admit, runs its one-row command."""
+    """Single-mode rate sweep: the plan at -m, else the shortest harvest
+    length, its rate where feasible and the asymptotic rate, of every row.
+    eps = 0, which -m and -n admit, runs its one-row command."""
     count, flag = _row_flags(args, dest)
     a, p_t, p_e, ok = _power_rows(flag, count)
     sigma2, m = args.sigma2, flag("m")
-    probe, frame, n, frame_ok = _frames(dest, sigma2, flag("eps"), flag("n"))
+    probe, frame, _, frame_ok = _frames(dest, sigma2, flag("eps"), flag("n"))
     ok &= frame_ok
     if m is None:
         m, overflow = probe.harvest(frame, a)
@@ -593,8 +593,7 @@ def _rate_batch(args, dest):
         probe.asymptotic(frame, p_t, ratio) / _LN2,
         feasible,
     ]
-    lead = lambda: (int(m.item()), int(n.item()), a.item())
-    return _batch(args, dest, ok, lead, columns, _rate_row)
+    return _batch(args, dest, ok, columns, _rate_row)
 
 
 def _rate_row(ns) -> tuple[tuple, tuple]:
@@ -668,7 +667,7 @@ def _plan_prepare(args, dest):
     if args.eps is None and dest != "eps":
         raise DomainError("plan needs --eps")
     if args.mode == "single":
-        return _plan_batch(args, dest)
+        return _per_row(args, None, _plan_row) if dest is None else _plan_batch(args, dest)
     return _per_row(args, dest, _plan_row_mp)
 
 
@@ -680,8 +679,8 @@ def _plan_row_mp(ns) -> tuple[tuple, tuple]:
 
 
 def _plan_batch(args, dest):
-    """Single-mode plan: the shortest n for eps, the shortest harvest length
-    for it, the overhead 1 + 2a/eps and the total of every row."""
+    """Single-mode plan sweep: the shortest n for eps, the shortest harvest
+    length for it, the overhead 1 + 2a/eps and the total of every row."""
     count, flag = _row_flags(args, dest)
     a, _, _, ok = _power_rows(flag, count)
     eps = flag("eps")
@@ -694,7 +693,7 @@ def _plan_batch(args, dest):
     n = list(map(int, n.tolist()))
     m = list(map(int, np.where(ok, m, 0.0).tolist()))
     columns = [n, m, overhead, [j + k for j, k in zip(n, m)]]
-    return _batch(args, dest, ok, lambda: (), columns, _plan_row)
+    return _batch(args, dest, ok, columns, _plan_row)
 
 
 def _plan_row(ns) -> tuple[tuple, tuple]:
@@ -708,32 +707,33 @@ def cmd_plan(args) -> int:
     return _run(args, _plan_prepare, [], ["n_min", "m_min", "overhead", "total"])
 
 
-def _planned_rate_bits(n: int, a: float, link: single_pb.LinkParams, eps: float):
-    """The rate in bits at the shortest harvest length for ``a``, or None
-    where that plan is infeasible."""
-    m = planner.min_harvest_blocklength(n, a, eps)
-    res = single_pb.achievable_rate_fbl(single_pb.BlocklengthPlan(m, n, eps), link)
-    return res.rate_bits if res.feasible else None
-
-
 # ----------------------------------------------------------------- figures
 #
 # The bundled scenarios pin every parameter explicitly. Values that the
 # model description leaves open (grids, per-curve tolerances, beacon power
 # scans) are reconstructions; they are listed in the README and visible in
-# the emitted CSV, never silent.
+# the emitted CSV, never silent. fig2-fig5 are sweeps and rows of the rate
+# and optpower commands.
+
+
+def _flags(**values) -> argparse.Namespace:
+    """The flags of a command line that gives ``values`` and leaves every
+    other config key at its built-in default."""
+    defaults = {dest: default for dest, _, default, _ in _CONFIG_KEYS.values()}
+    return argparse.Namespace(**{**defaults, **values})
+
+
+def _sweep_columns(prepare, sweep: str, **values):
+    """(grid, value columns) of a command's sweep at ``values``, as its
+    ``prepare`` hands them to :func:`_run`."""
+    args = _flags(sweep=_parse_sweep(sweep), **values)
+    return args.sweep.grid, prepare(args, _CONFIG_KEYS[args.sweep.variable][0])[1]
 
 
 def _figure_fig2():
-    p_e, sigma2 = 100.0, 1.0
-    grid = _log_grid(1e-4, 1.0, 61)
     columns, series = [[], [], []], []
     for eps in (1e-3, 1e-2, 1e-1):
-        n = single_pb.min_transmit_blocklength(eps)
-        rates = []
-        for a in grid:
-            link = single_pb.LinkParams(p_t=a * p_e, p_e=p_e, sigma2=sigma2)
-            rates.append(_planned_rate_bits(n, a, link, eps))
+        grid, (rates, _, _) = _sweep_columns(_rate_prepare, "a:1e-4:1:61:log", pe=100.0, eps=eps)
         for column, cells in zip(columns, ([eps] * len(grid), grid, rates)):
             column += cells
         series.append((f"eps={eps:g}", grid, rates))
@@ -742,18 +742,16 @@ def _figure_fig2():
 
 
 def _figure_fig3():
-    p_e, sigma2 = 1e3, 1.0
-    pt_fixed = single_pb.optimal_power_asymptotic(p_e, sigma2, 1e-3)
-    link_fixed = single_pb.LinkParams(p_t=pt_fixed, p_e=p_e, sigma2=sigma2)
-    xs = _log_grid(1e-4, 0.5, 41)
-    fixed, adapted, asym = [], [], []
+    p_e = 1e3
+    pt_fixed = single_pb.optimal_power_asymptotic(p_e, 1.0, 1e-3)
+    xs, (fixed, _, _) = _sweep_columns(_rate_prepare, "eps:1e-4:0.5:41:log", pt=pt_fixed, pe=p_e)
+    # Adapted power: one rate row at the large-frame optimum of each eps.
+    adapted, asym = [], []
     for eps in xs:
-        n = single_pb.min_transmit_blocklength(eps)
-        pt_ad = single_pb.optimal_power_asymptotic(p_e, sigma2, eps)
-        link_ad = single_pb.LinkParams(p_t=pt_ad, p_e=p_e, sigma2=sigma2)
-        fixed.append(_planned_rate_bits(n, pt_fixed / p_e, link_fixed, eps))
-        adapted.append(_planned_rate_bits(n, pt_ad / p_e, link_ad, eps))
-        asym.append(single_pb.asymptotic_rate(link_ad, eps) / _LN2)
+        p_t = single_pb.optimal_power_asymptotic(p_e, 1.0, eps)
+        rate, rate_asym, _ = _rate_row(_flags(pt=p_t, pe=p_e, eps=eps))[1]
+        adapted.append(rate)
+        asym.append(rate_asym)
     header = ["eps", "rate_bits_fixed_power", "rate_bits_adapted_power", "rate_bits_asymptotic"]
     plot = dict(
         series=[("fixed power", xs, fixed), ("adapted power", xs, adapted), ("asymptotic", xs, asym)],
@@ -767,12 +765,8 @@ def _figure_fig3():
 def _figure_optimal_power(ratio: bool):
     """fig4: both optimal powers against p_e at eps = 0.05; fig5 (``ratio``):
     the same scan as power ratios."""
-    xs = _log_grid(1e2, 1e4, 25)
-    opt_asym, opt_fbl = [], []
-    for p_e, row in zip(xs, single_pb._optimal_powers([0.05] * len(xs), xs, 1.0)):
-        scale = p_e if ratio else 1.0
-        opt_asym.append(single_pb._unwrap(row.p_asym) / scale)
-        opt_fbl.append(single_pb._unwrap(row.best)[0] / scale)
+    xs, columns = _sweep_columns(_optpower_prepare, "pe:1e2:1e4:25:log", eps=0.05)
+    opt_asym, opt_fbl = map(list, columns[2:4] if ratio else columns[:2])
     plot = dict(
         series=[("asymptotic", xs, opt_asym), ("finite frame", xs, opt_fbl)],
         x_label="pe",

@@ -789,6 +789,7 @@ def _search(probe: _RateProbe, p_asym: list) -> list[tuple]:
     rows = np.flatnonzero(~failed)
     pa = np.array([p_asym[row] for row in rows.tolist()], dtype=float)
     rate, m, a, overflow = probe(rows, pa)
+    feasible = probe.feasible(rows, m, a).tolist()
     pe = probe.p_e[rows]
     inside = (1e-6 * pe <= pa) & (pa <= pe)
     for k, row in enumerate(rows.tolist()):
@@ -797,11 +798,7 @@ def _search(probe: _RateProbe, p_asym: list) -> list[tuple]:
             if inside[k]:
                 cells[row] = at_asym[row]
         else:
-            # The plan meets its harvest floor by construction, so it is
-            # feasible where n is within the energy cap.
-            n, eps = probe.n[row], probe.epsilon[row]
-            feasible = transmit_len_within_energy_cap(n, int(m[k]), float(a[k]), eps)
-            at_asym[row] = float(rate[k]), feasible
+            at_asym[row] = float(rate[k]), feasible[k]
     rate_star, x_star = f1[rows], x1[rows]
     for r, x, use in ((f2[rows], x2[rows], True), (best_rate[rows], best_x[rows], True),
                       (rate, _libm(math.log, np.where(inside, pa, 1.0)), inside)):
