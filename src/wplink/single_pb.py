@@ -570,17 +570,23 @@ class _RateProbe:
       frames of (eps, p_e) that have passed :func:`_search_checks`, each
       with the shortest even n for its eps.
 
-    n, the harvest floor's growth term and the penalty's constants are taken
-    once per frame here. A method evaluates any rows at once, a frame as
-    often as it is listed, with the scalar path's IEEE operations in its
-    order: arithmetic, sqrt and ceil in NumPy float64, log1p from libm.
+    n, the harvest floor's growth term (at n, and at the shortest even n for
+    eps, where :meth:`feasible` takes the floor), ln(1 + eps/2) and the
+    penalty's constants are taken once per frame here. A method evaluates
+    any rows at once, a frame as often as it is listed, with the scalar
+    path's IEEE operations in its order: arithmetic, sqrt and ceil in NumPy
+    float64, log1p from libm.
     """
 
     def __init__(self, epsilon: list, p_e: list | None, sigma2: float, n: list) -> None:
         self.epsilon, self.n, self.sigma2 = epsilon, n, sigma2
         self.p_e = None if p_e is None else np.array(p_e, dtype=float)
         self.growth = np.array(list(map(_floor_growth, n, epsilon)))
+        floor_n = list(map(min_transmit_blocklength, epsilon))
+        self.floor_growth = (self.growth if floor_n == n
+                             else np.array(list(map(_floor_growth, floor_n, epsilon))))
         eps = np.array(epsilon, dtype=float)
+        self.half_log = _libm(math.log1p, 0.5 * eps)
         with np.errstate(over="ignore"):
             self.scale = (2.0 + eps) / eps
         self.n_f = np.array(n, dtype=float)
@@ -606,27 +612,21 @@ class _RateProbe:
             raw = numer / (n + m)
         return np.where(raw < 0.0, 0.0, raw)
 
-    def _half_log(self, rows: np.ndarray) -> np.ndarray:
-        """ln(1 + eps/2) of ``rows``."""
-        return _libm(math.log1p, 0.5 * np.array(self.epsilon, dtype=float))[rows]
-
     def feasible(self, rows: np.ndarray, m: np.ndarray, a: np.ndarray) -> np.ndarray:
         """:func:`_operational_feasible` at the harvest lengths ``m`` and
         power ratios ``a`` (p_t/p_e, finite or not) of ``rows``."""
-        floor_n = list(map(min_transmit_blocklength, self.epsilon))
-        floor_growth = np.array(list(map(_floor_growth, floor_n, self.epsilon)))[rows]
         n = self.n_f[rows]
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             growth = _libm(math.log1p, 2.0 * a / m)
             within = (a == 0.0) | ((m != 0.0) & (
-                (growth == 0.0) | (n <= 2.0 * self._half_log(rows) / growth)))
-            return (m >= _floors(a, floor_growth)) & within
+                (growth == 0.0) | (n <= 2.0 * self.half_log[rows] / growth)))
+            return (m >= _floors(a, self.floor_growth[rows])) & within
 
     def asymptotic(self, rows: np.ndarray, p_t: np.ndarray, a: np.ndarray) -> np.ndarray:
         """:func:`asymptotic_rate` in nats at the powers ``p_t`` and power
         ratios ``a`` (p_t/p_e) of ``rows``."""
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            prelog = 1.0 / (1.0 + a / self._half_log(rows))
+            prelog = 1.0 / (1.0 + a / self.half_log[rows])
             return prelog * 0.5 * _libm(math.log1p, p_t / self.sigma2)
 
     def __call__(self, rows: np.ndarray, p_t: np.ndarray):
