@@ -263,14 +263,19 @@ def min_power_ratio(m: int, n: int, rho: float) -> float:
     """Largest power ratio keeping the supply probability at least rho.
 
     Inverts the supply probability in ``a``: the returned ratio makes
-    ``energy_supply_prob(m, n, a)`` equal rho exactly.
+    ``energy_supply_prob(m, n, a)`` equal rho exactly. Returns inf where the
+    ratio leaves the double range.
     """
     _check_count("harvest blocklength m", m)
     _check_even_n(n)
     if not (0.0 < rho <= 1.0):
         raise DomainError(f"rho must lie in (0, 1], got {rho!r}")
     # rho^(-2/n) - 1 evaluated without cancellation.
-    return (m / 2.0) * math.expm1(-(2.0 / n) * math.log(rho))
+    try:
+        growth = math.expm1(-(2.0 / n) * math.log(rho))
+    except OverflowError:
+        return math.inf
+    return (m / 2.0) * growth
 
 
 def asymptotic_supply_limit(a: float, c: float) -> float:
@@ -283,6 +288,9 @@ def asymptotic_supply_limit(a: float, c: float) -> float:
 # =============================================================================
 # Feasibility constraints (real-valued forms)
 # =============================================================================
+#
+# Each public predicate checks eps first, then n, m and a: a value outside
+# its domain (NaN among them) is a DomainError, never a False.
 
 
 def transmit_floor(epsilon: float) -> float:
@@ -346,6 +354,9 @@ def _floor_overflow(n: int, a: float, epsilon: float) -> UnsatisfiableError:
 
 def harvest_len_feasible_at_floor(m: float, a: float, epsilon: float) -> bool:
     """m is long enough to power the shortest admissible transmit phase."""
+    _check_epsilon(epsilon)
+    _check_nonnegative("m", m)
+    _check_nonnegative("power ratio a", a)
     if a == 0.0:
         return True
     return m >= harvest_floor_real(transmit_floor(epsilon), a, epsilon)
@@ -356,6 +367,9 @@ def transmit_len_within_energy_cap(n: float, m: float, a: float, epsilon: float)
     which is infinite at a = 0 (also for m = 0): the codeword needs no energy.
     For a > 0 and m = 0 nothing is harvested, and the cap is 0."""
     _check_epsilon(epsilon)
+    _check_nonnegative("n", n)
+    _check_nonnegative("m", m)
+    _check_nonnegative("power ratio a", a)
     if a == 0.0:
         return True
     if m == 0.0:
@@ -368,11 +382,16 @@ def transmit_len_within_energy_cap(n: float, m: float, a: float, epsilon: float)
 
 def transmit_len_meets_error_floor(n: float, epsilon: float) -> bool:
     """n reaches the real-valued transmit floor for the error target."""
+    _check_epsilon(epsilon)
+    _check_nonnegative("n", n)
     return n >= transmit_floor(epsilon)
 
 
 def harvest_len_covers_transmit(m: float, n: float, a: float, epsilon: float) -> bool:
     """m reaches the real-valued harvest floor for this transmit length."""
+    _check_epsilon(epsilon)
+    _check_positive("n", n)
+    _check_nonnegative("m", m)
     return m >= harvest_floor_real(n, a, epsilon)
 
 

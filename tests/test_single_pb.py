@@ -164,6 +164,13 @@ def test_min_power_ratio_reference_value():
         min_power_ratio(10, 4, 0.0)
 
 
+def test_min_power_ratio_past_the_double_range_is_inf():
+    # rho^(-2/n) = 1e310 overflowed in expm1 with a bare OverflowError, while
+    # a finite rho^(-2/n) - 1 times a huge m/2 already gave inf
+    assert min_power_ratio(1, 2, 1e-310) == math.inf
+    assert min_power_ratio(10**308, 2, 1e-300) == math.inf
+
+
 def test_derivation_domain_predicate():
     assert within_derivation_domain(10, 4.9)
     assert not within_derivation_domain(10, 5.0)
@@ -230,6 +237,35 @@ def test_energy_cap_is_zero_without_harvest():
     # with a > 0 and m = 0 nothing is harvested; 2a/m used to divide by zero
     assert not transmit_len_within_energy_cap(2, 0, 0.1, 0.05)
     assert not transmit_len_within_energy_cap(2026, 0.0, 1e-300, 0.05)
+
+
+EPS_OUT = "epsilon must lie in (0, 1), got {}"
+A_NAN = "power ratio a must be >= 0, got nan"
+
+
+@pytest.mark.parametrize(
+    "predicate, args, message",
+    [
+        (transmit_len_within_energy_cap, (10, -1, 1.0, 0.1), "m must be >= 0, got -1"),
+        (transmit_len_within_energy_cap, (10, 5, math.nan, 0.1), A_NAN),
+        (transmit_len_within_energy_cap, (math.nan, 5, 1.0, 0.1), "n must be >= 0, got nan"),
+        (transmit_len_within_energy_cap, (math.nan, -1, math.nan, 2.0), EPS_OUT.format(2.0)),
+        (harvest_len_feasible_at_floor, (10, 0.0, 2.0), EPS_OUT.format(2.0)),
+        (harvest_len_feasible_at_floor, (-1, 0.5, 0.1), "m must be >= 0, got -1"),
+        (harvest_len_feasible_at_floor, (math.nan, 0.0, 0.1), "m must be >= 0, got nan"),
+        (harvest_len_feasible_at_floor, (10, math.nan, 0.1), A_NAN),
+        (transmit_len_meets_error_floor, (math.nan, 0.1), "n must be >= 0, got nan"),
+        (transmit_len_meets_error_floor, (math.nan, math.nan), EPS_OUT.format(math.nan)),
+        (harvest_len_covers_transmit, (math.nan, 2026, 0.5, 0.1), "m must be >= 0, got nan"),
+        (harvest_len_covers_transmit, (-1, 0, math.nan, 1.0), EPS_OUT.format(1.0)),
+        (harvest_len_covers_transmit, (-1, 0, 0.5, 0.1), "n must be > 0, got 0"),
+    ],
+)
+def test_feasibility_predicates_reject_inputs_outside_their_domain(predicate, args, message):
+    # a negative m raised a bare ValueError from math.log1p, a NaN returned
+    # False, and an a = 0 shortcut answered True before eps was checked
+    with pytest.raises(DomainError, match=re.escape(message)):
+        predicate(*args)
 
 
 def test_constraint_forms_agree_on_operating_domain():
