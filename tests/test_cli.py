@@ -1110,12 +1110,16 @@ def test_figures_are_their_commands_sweeps():
     assert cli._FIGURES["fig4"]()[1] == [pe_grid, list(pt_asym), list(pt_fbl)]
     assert cli._FIGURES["fig5"]()[1] == [pe_grid, list(a_asym), list(a_fbl)]
     eps_sweep = "eps:1e-4:0.5:41:log"
-    xs, fixed, adapted, _ = cli._FIGURES["fig3"]()[1]
+    xs, fixed, adapted, asym = cli._FIGURES["fig3"]()[1]
     p_t = single_pb.optimal_power_asymptotic(1e3, 1.0, 1e-3)
     _, columns = _prepared(["rate", f"--pt={p_t!r}", "--pe=1000", f"--sweep={eps_sweep}"])
     assert xs == cli._parse_sweep(eps_sweep).grid and fixed == list(columns[0])
     _, columns = _prepared(["optpower", "--pe=1000", f"--sweep={eps_sweep}"])
     assert adapted == list(columns[4])
+    for eps, cell in zip(xs, asym, strict=True):
+        p_t = single_pb.optimal_power_asymptotic(1e3, 1.0, eps)
+        _, columns = _prepared(["rate", f"--pt={p_t!r}", "--pe=1000", f"--eps={eps!r}"])
+        assert cell == columns[1][0], eps
 
 
 RATIO_COLLIDE = "flags collide: pt=1e+300 and pe=1e-300 give a=inf, but a must be finite"
