@@ -29,9 +29,10 @@ The corpus is built here, from this repository's ``bench/`` and
   of 1e4 rows or more, ``rate`` sweeps whose feasibility flips, multi-mode
   ``pes``, ``rate`` and ``plan`` sweeps that fail in their first row at a
   flag the sweep leaves alone or in a middle row, a Monte Carlo trial count
-  past the cap, a Monte Carlo row whose codeword energy overflows, and
-  seeded random argv over every flag (absent, ordinary or hostile values,
-  sweeps and config files).
+  past the cap, a Monte Carlo row whose codeword energy overflows, every
+  figure with its SVG (which locks the plot series), and seeded random
+  argv over every flag (absent, ordinary or hostile values, sweeps and
+  config files).
 
 Standard library only.
 """
@@ -230,6 +231,8 @@ def listed_argv() -> list[tuple[str, ...]]:
             (*optpower, "0.05", "--sigma2", sigma2, "--sweep", "pe:100:1e4:5:log"),
             (*optpower, "0.05", "--pe", "100", "--sigma2", sigma2),
         ]
+    # Every figure with its SVG, whose plot series the CSV does not show.
+    out += [("figure", f"fig{k}", "--out", "out", "--svg") for k in range(2, 8)]
     return out + single_sweep_argv()
 
 
