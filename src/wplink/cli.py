@@ -176,8 +176,8 @@ def _int_arg(text: str) -> int:
 
 
 # Every config-settable flag, keyed by its config key: (dest, type, built-in
-# default, help). The parser, the config reader, the defaults merge and the
-# sweep all read this table. A one-letter key is the flag -key, any other
+# default, help). The parser, the config reader, the defaults merge, the
+# sweep and the figures' flags all read this table. A one-letter key is the flag -key, any other
 # --key with dashes for underscores.
 _CONFIG_KEYS = {
     "mode": ("mode", str, "single", "link model: one dedicated beacon or a beacon field"),
@@ -345,8 +345,9 @@ def _mc_cfg(args) -> montecarlo.McConfig:
 
 def _per_row(args, dest, row):
     """(lead cells, value columns) of the rows of a one-row command ``row(ns)
-    -> (lead cells, value cells)``, run on one copy of the flags per row with
-    the swept field ``dest`` set to each grid value in turn."""
+    -> (lead cells, value cells)``, run once on the flags where ``dest`` is
+    None, else on one copy of them per row with the swept field ``dest`` set
+    to each grid value in turn."""
     if dest is None:
         lead, cells = row(args)
         return lead, [[cell] for cell in cells]

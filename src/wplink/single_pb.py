@@ -602,8 +602,7 @@ class _RateProbe:
         self.p_e = None if p_e is None else np.array(p_e, dtype=float)
         self.growth = np.array(list(map(_floor_growth, n, epsilon)))
         floor_n = list(map(min_transmit_blocklength, epsilon))
-        self.floor_growth = (self.growth if floor_n == n
-                             else np.array(list(map(_floor_growth, floor_n, epsilon))))
+        self.floor_growth = np.array(list(map(_floor_growth, floor_n, epsilon)))
         eps = np.array(epsilon, dtype=float)
         self.half_log = _libm(math.log1p, 0.5 * eps)
         with np.errstate(over="ignore"):
