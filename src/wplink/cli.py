@@ -177,8 +177,8 @@ def _int_arg(text: str) -> int:
 
 # Every config-settable flag, keyed by its config key: (dest, type, built-in
 # default, help). The parser, the config reader, the defaults merge, the
-# sweep and the figures' flags all read this table. A one-letter key is the flag -key, any other
-# --key with dashes for underscores.
+# sweep and the figures' flags all read this table. A one-letter key is the
+# flag -key, any other --key with dashes for underscores.
 _CONFIG_KEYS = {
     "mode": ("mode", str, "single", "link model: one dedicated beacon or a beacon field"),
     "pt": ("pt", float, None, "transmit power"),
