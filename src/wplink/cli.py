@@ -176,9 +176,9 @@ def _int_arg(text: str) -> int:
 
 
 # Every config-settable flag, keyed by its config key: (dest, type, built-in
-# default, help). The parser, the config reader, the defaults merge, the
-# sweep and the figures' flags all read this table. A one-letter key is the
-# flag -key, any other --key with dashes for underscores.
+# default, help). The parser, the config reader, the defaults merge and the
+# sweep all read this table. A one-letter key is the flag -key, any other
+# --key with dashes for underscores.
 _CONFIG_KEYS = {
     "mode": ("mode", str, "single", "link model: one dedicated beacon or a beacon field"),
     "pt": ("pt", float, None, "transmit power"),
@@ -720,14 +720,15 @@ def cmd_plan(args) -> int:
 def _flags(**values) -> argparse.Namespace:
     """The flags of a command line that gives ``values`` and leaves every
     other config key at its built-in default."""
-    defaults = {dest: default for dest, _, default, _ in _CONFIG_KEYS.values()}
-    return argparse.Namespace(**{**defaults, **values})
+    args = argparse.Namespace(config=None, **values)
+    _finalize(args)
+    return args
 
 
 def _sweep_columns(prepare, sweep: str, **values):
     """(grid, value columns) of a command's sweep at ``values``, as its
     ``prepare`` hands them to :func:`_run`."""
-    args = _flags(sweep=_parse_sweep(sweep), **values)
+    args = _flags(sweep=sweep, **values)
     return args.sweep.grid, prepare(args, _CONFIG_KEYS[args.sweep.variable][0])[1]
 
 
