@@ -497,7 +497,8 @@ def _pes_prepare(args, dest):
     if (args.m is None and dest != "m") or (args.n is None and dest != "n"):
         raise DomainError("pes needs -m and -n")
     if args.mode == "single":
-        # A row with no sweep, or with Monte Carlo columns, is drawn by itself.
+        # A row with no sweep runs its one-row command, and so does each row
+        # with Monte Carlo columns, which are drawn row by row.
         if dest is None or args.mc_trials is not None:
             return _per_row(args, dest, _pes_row)
         return _pes_batch(args, dest)
